@@ -32,73 +32,44 @@ See ``DESIGN.md`` for the full system inventory and ``EXPERIMENTS.md`` for
 the reproduction of the paper's complexity tables.
 """
 
-from repro.analysis import (AnalysisFacts, Diagnostic, Fixit, Report,
-                            Severity, Span, analyze, lint_bundle,
-                            lint_path, validate_for_decision)
-from repro.constraints import (ConditionalFunctionalDependency,
-                               ConditionalInclusionDependency,
-                               ContainmentConstraint, DenialConstraint,
-                               FunctionalDependency, InclusionDependency,
-                               Projection, compile_all,
-                               compile_to_containment, satisfies_all,
-                               violated_constraints)
-from repro.core import (ActiveDomain, CompletionOutcome,
-                        IncompletenessCertificate, MissingAnswersReport,
-                        RCDPResult, RCDPStatus, RCQPResult, RCQPStatus,
-                        SearchStatistics, brute_force_rcdp,
-                        brute_force_rcqp, decide_rcdp, decide_rcqp,
-                        decide_rcqp_with_inds, enumerate_missing_answers,
-                        make_complete, minimize_witness,
-                        missing_answers_report)
-from repro.engine import EvaluationContext
-from repro.errors import (AnalysisError, ConstraintError, DomainError,
-                          EvaluationError,
-                          ExecutionInterrupted, NotPartiallyClosedError,
-                          ParseError, QueryError, ReproError, SchemaError,
-                          SearchBudgetExceededError,
-                          UndecidableConfigurationError,
-                          UnsatisfiableQueryError, WorkerPoolError)
-from repro.runtime import (Budget, CancellationToken, Deadline,
-                           ExecutionGovernor, FaultInjector, RetryPolicy,
-                           SearchCheckpoint)
-from repro.queries import (ConjunctiveQuery, Const, DatalogQuery, EFOQuery,
-                           Eq, FOQuery, Neq, RelAtom, Rule, Tableau,
-                           UnionOfConjunctiveQueries, Var, cq, eq, neq,
-                           rel, rule, ucq, var)
-from repro.relational import (Attribute, BOOLEAN, DatabaseSchema,
-                              FiniteDomain, FreshValue, INFINITE, Instance,
-                              RelationSchema)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ActiveDomain", "AnalysisError", "AnalysisFacts", "Attribute",
-    "BOOLEAN", "Budget", "CancellationToken",
-    "CompletionOutcome", "ConditionalFunctionalDependency",
-    "ConditionalInclusionDependency", "ConjunctiveQuery", "Const",
-    "ConstraintError", "ContainmentConstraint", "DatabaseSchema",
-    "DatalogQuery", "Deadline", "DenialConstraint", "Diagnostic",
-    "DomainError",
-    "EFOQuery", "Eq", "EvaluationContext", "EvaluationError",
-    "ExecutionGovernor",
-    "ExecutionInterrupted", "FOQuery", "FaultInjector", "FiniteDomain",
-    "Fixit", "FreshValue", "FunctionalDependency", "INFINITE",
-    "InclusionDependency", "IncompletenessCertificate", "Instance",
-    "MissingAnswersReport", "Neq", "NotPartiallyClosedError", "ParseError",
-    "Projection", "QueryError", "RCDPResult", "RCDPStatus", "RCQPResult",
-    "RCQPStatus", "RelAtom", "RelationSchema", "Report", "ReproError",
-    "RetryPolicy", "Rule",
-    "SchemaError", "SearchBudgetExceededError", "SearchCheckpoint",
-    "SearchStatistics", "Severity", "Span", "Tableau",
-    "UndecidableConfigurationError",
-    "UnionOfConjunctiveQueries", "UnsatisfiableQueryError", "Var",
-    "WorkerPoolError",
-    "analyze",
-    "brute_force_rcdp", "brute_force_rcqp", "compile_all",
-    "compile_to_containment", "cq", "decide_rcdp", "decide_rcqp",
-    "decide_rcqp_with_inds", "eq", "enumerate_missing_answers",
-    "lint_bundle", "lint_path",
-    "make_complete", "minimize_witness", "missing_answers_report", "neq",
-    "rel", "rule", "satisfies_all", "ucq", "var",
-    "validate_for_decision", "violated_constraints",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.analysis": (
+        "AnalysisFacts", "Diagnostic", "Fixit", "Report", "Severity",
+        "Span", "analyze", "lint_bundle", "lint_path",
+        "validate_for_decision"),
+    "repro.constraints": (
+        "ConditionalFunctionalDependency", "ConditionalInclusionDependency",
+        "ContainmentConstraint", "DenialConstraint", "FunctionalDependency",
+        "InclusionDependency", "Projection", "compile_all",
+        "compile_to_containment", "satisfies_all", "violated_constraints"),
+    "repro.core": (
+        "ActiveDomain", "CompletionOutcome", "IncompletenessCertificate",
+        "MissingAnswersReport", "RCDPResult", "RCDPStatus", "RCQPResult",
+        "RCQPStatus", "SearchStatistics", "brute_force_rcdp",
+        "brute_force_rcqp", "decide_rcdp", "decide_rcqp",
+        "decide_rcqp_with_inds", "enumerate_missing_answers",
+        "make_complete", "minimize_witness", "missing_answers_report"),
+    "repro.engine": ("EvaluationContext",),
+    "repro.errors": (
+        "AnalysisError", "BundleError", "ConstraintError", "DomainError",
+        "EvaluationError", "ExecutionInterrupted",
+        "NotPartiallyClosedError", "ParseError", "QueryError", "ReproError",
+        "SchemaError", "SearchBudgetExceededError",
+        "UndecidableConfigurationError", "UnsatisfiableQueryError",
+        "WorkerPoolError"),
+    "repro.runtime": (
+        "Budget", "CancellationToken", "Deadline", "ExecutionGovernor",
+        "FaultInjector", "RetryPolicy", "SearchCheckpoint"),
+    "repro.queries": (
+        "ConjunctiveQuery", "Const", "DatalogQuery", "EFOQuery", "Eq",
+        "FOQuery", "Neq", "RelAtom", "Rule", "Tableau",
+        "UnionOfConjunctiveQueries", "Var", "cq", "eq", "neq", "rel",
+        "rule", "ucq", "var"),
+    "repro.relational": (
+        "Attribute", "BOOLEAN", "DatabaseSchema", "FiniteDomain",
+        "FreshValue", "INFINITE", "Instance", "RelationSchema"),
+})

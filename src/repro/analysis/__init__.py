@@ -25,37 +25,24 @@ engine act on.
   (also exposed as rule ``RC202``).
 """
 
-from repro.analysis.boundedness import (BoundednessReport, VariableReport,
-                                        VariableStatus,
-                                        analyze_boundedness)
-from repro.analysis.cost import (CostEstimate, DisjunctCost, Interval,
-                                 PlanEstimate, StepEstimate,
-                                 estimate_decision, estimate_plan,
-                                 suggested_budget)
-from repro.analysis.diagnostics import (AnalysisFacts, Diagnostic, Fixit,
-                                        Report, Severity, Span)
-from repro.analysis.driver import (analyze, lint_bundle, lint_path,
-                                   validate_for_decision)
-from repro.analysis.interaction import (ChaseClass, InteractionEdge,
-                                        InteractionGraph,
-                                        build_interaction_graph,
-                                        drop_inapplicable,
-                                        forced_empty_relations,
-                                        inapplicable_constraints)
-from repro.analysis.planlint import PlanFinding, lint_plan
-from repro.analysis.rules import RULES, LintRule, RuleContext, lint_rule
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Severity", "Span", "Fixit", "Diagnostic", "AnalysisFacts", "Report",
-    "LintRule", "RuleContext", "RULES", "lint_rule",
-    "analyze", "validate_for_decision", "lint_bundle", "lint_path",
-    "VariableStatus", "VariableReport", "BoundednessReport",
-    "analyze_boundedness",
-    "ChaseClass", "InteractionEdge", "InteractionGraph",
-    "build_interaction_graph", "forced_empty_relations",
-    "inapplicable_constraints", "drop_inapplicable",
-    "Interval", "DisjunctCost", "StepEstimate", "PlanEstimate",
-    "CostEstimate", "estimate_decision", "estimate_plan",
-    "suggested_budget",
-    "PlanFinding", "lint_plan",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.analysis.boundedness": (
+        "BoundednessReport", "VariableReport", "VariableStatus",
+        "analyze_boundedness"),
+    "repro.analysis.cost": (
+        "CostEstimate", "DisjunctCost", "Interval", "PlanEstimate",
+        "StepEstimate", "estimate_decision", "estimate_plan",
+        "suggested_budget"),
+    "repro.analysis.diagnostics": (
+        "AnalysisFacts", "Diagnostic", "Fixit", "Report", "Severity", "Span"),
+    "repro.analysis.driver": (
+        "analyze", "lint_bundle", "lint_path", "validate_for_decision"),
+    "repro.analysis.interaction": (
+        "ChaseClass", "InteractionEdge", "InteractionGraph",
+        "build_interaction_graph", "drop_inapplicable",
+        "forced_empty_relations", "inapplicable_constraints"),
+    "repro.analysis.planlint": ("PlanFinding", "lint_plan"),
+    "repro.analysis.rules": ("RULES", "LintRule", "RuleContext", "lint_rule"),
+})

@@ -269,7 +269,7 @@ def check_explosive_search_space(ctx: RuleContext) -> Iterator[Diagnostic]:
     ctx.cost_estimate = estimate
     if estimate.total_predicted < RC404_TICK_THRESHOLD:
         return
-    from repro.parallel import suggest_workers
+    from repro.parallel.partition import suggest_workers
     workers = suggest_workers(estimate)
     yield _diag(
         "RC404",

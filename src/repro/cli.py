@@ -116,9 +116,7 @@ import time
 from typing import Sequence
 
 from repro.core.rcdp import decide_rcdp, missing_answers_report
-from repro.core.rcqp import decide_rcqp
 from repro.core.results import RCDPStatus, RCQPStatus
-from repro.core.witness import make_complete
 from repro.errors import (AnalysisError, ExecutionInterrupted, ReproError,
                           WorkerPoolError)
 from repro.io.json_io import load_bundle
@@ -213,7 +211,7 @@ def _ledger_path(args: argparse.Namespace) -> str | None:
     path = getattr(args, "ledger", None)
     if path:
         return path
-    from repro.obs.ledger import LEDGER_ENV
+    from repro.obs import LEDGER_ENV
 
     return os.environ.get(LEDGER_ENV) or None
 
@@ -290,7 +288,7 @@ def _finish_observability(args: argparse.Namespace,
     governor ledger and statistics are folded into the registry, the
     profile table is printed, and trace/metrics files are written.
     """
-    from repro.obs import obs_of, render_profile, trace_records, write_trace
+    from repro.obs import obs_of
 
     progress = getattr(governor, "progress", None)
     if progress is not None:
@@ -303,6 +301,8 @@ def _finish_observability(args: argparse.Namespace,
             print(line)
     if observation is None:
         return
+    from repro.obs import render_profile, trace_records, write_trace
+
     observation.finalize(governor, statistics)
     payload = observation.payload()
     if getattr(args, "profile", False):
@@ -467,6 +467,8 @@ def _cmd_rcdp(args: argparse.Namespace) -> int:
 
 
 def _cmd_rcqp(args: argparse.Namespace) -> int:
+    from repro.core.rcqp import decide_rcqp
+
     bundle = load_bundle(args.bundle, backend=args.backend)
     governor = _governor_from_args(args)
     _preflight(args, governor, bundle, "rcqp")
@@ -501,6 +503,8 @@ def _cmd_rcqp(args: argparse.Namespace) -> int:
 
 
 def _cmd_complete(args: argparse.Namespace) -> int:
+    from repro.core.witness import make_complete
+
     bundle = load_bundle(args.bundle, backend=args.backend)
     governor = _governor_from_args(args)
     _preflight(args, governor, bundle, "complete")

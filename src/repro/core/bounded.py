@@ -157,7 +157,7 @@ def brute_force_rcdp(query: Any, database: Instance, master: Instance,
     *workers* shards the enumeration across processes
     (``docs/PARALLEL.md``); the verdict is worker-count invariant.
     """
-    from repro.parallel.partition import resolve_workers
+    from repro.parallel import resolve_workers
 
     count = resolve_workers(workers)
     if count > 1:
@@ -318,7 +318,7 @@ def brute_force_rcqp(query: Any, master: Instance,
     *workers* shards the candidate enumeration across processes
     (``docs/PARALLEL.md``); the verdict is worker-count invariant.
     """
-    from repro.parallel.partition import resolve_workers
+    from repro.parallel import resolve_workers
 
     count = resolve_workers(workers)
     if count > 1:

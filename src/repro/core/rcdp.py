@@ -315,7 +315,7 @@ def decide_rcdp(query: Any, database: Instance, master: Instance,
         checkpoint.  The checkpoint cursor is ``(tableau_index,
         valuations_consumed_in_that_tableau)``.
     """
-    from repro.parallel.partition import resolve_workers
+    from repro.parallel import resolve_workers
 
     count = resolve_workers(workers)
     if count > 1:
@@ -508,7 +508,7 @@ def missing_answers_report(query: Any, database: Instance,
     ``"error"`` gives strict-mode callers the historical raising behavior
     with the partial report attached to the exception.
     """
-    from repro.parallel.partition import resolve_workers
+    from repro.parallel import resolve_workers
 
     count = resolve_workers(workers)
     if count > 1:

@@ -131,7 +131,7 @@ def decide_rcqp_with_inds(query: Any, master: Instance,
     *workers* shards both valuation scans across processes
     (``docs/PARALLEL.md``); the verdict is worker-count invariant.
     """
-    from repro.parallel.partition import resolve_workers
+    from repro.parallel import resolve_workers
 
     count = resolve_workers(workers)
     if count > 1:
@@ -539,7 +539,7 @@ def decide_rcqp(query: Any, master: Instance,
     the verdict is worker-count invariant, and parallel checkpoints must
     be resumed with the same worker count.
     """
-    from repro.parallel.partition import resolve_workers
+    from repro.parallel import resolve_workers
 
     validate_exhaustion_mode(on_exhausted)
     if constraints and all(c.is_ind() for c in constraints):

@@ -15,32 +15,16 @@ rows, set-at-a-time columnar, SQL pushdown via :mod:`repro.engine.sql`
 — see ``docs/BACKENDS.md``).
 """
 
-from repro.engine.context import (ENGINE_LANGUAGES, EngineStatistics,
-                                  EvaluationContext)
-from repro.engine.executor import (ChainSource, DeltaSource, IndexedSource,
-                                   evaluate_plan, iter_rows, plan_holds)
-from repro.engine.indexes import InstanceIndexes, build_index
-from repro.engine.keys import decision_key, stable_key
-from repro.engine.plan import CompiledPlan, PlanStep, compile_plan
-from repro.engine.sql import LoweredPlan, lower_plan
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "decision_key",
-    "stable_key",
-    "ENGINE_LANGUAGES",
-    "EngineStatistics",
-    "EvaluationContext",
-    "ChainSource",
-    "DeltaSource",
-    "IndexedSource",
-    "evaluate_plan",
-    "iter_rows",
-    "plan_holds",
-    "InstanceIndexes",
-    "build_index",
-    "CompiledPlan",
-    "PlanStep",
-    "compile_plan",
-    "LoweredPlan",
-    "lower_plan",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.engine.context": (
+        "ENGINE_LANGUAGES", "EngineStatistics", "EvaluationContext"),
+    "repro.engine.executor": (
+        "ChainSource", "DeltaSource", "IndexedSource", "evaluate_plan",
+        "iter_rows", "plan_holds"),
+    "repro.engine.indexes": ("InstanceIndexes", "build_index"),
+    "repro.engine.keys": ("decision_key", "stable_key"),
+    "repro.engine.plan": ("CompiledPlan", "PlanStep", "compile_plan"),
+    "repro.engine.sql": ("LoweredPlan", "lower_plan"),
+})

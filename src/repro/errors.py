@@ -65,6 +65,11 @@ class ParseError(ReproError):
         self.length = length
 
 
+class BundleError(ReproError):
+    """A problem bundle file could not be read: it is missing or
+    unreadable, is not JSON, or its top level is not a JSON object."""
+
+
 class UndecidableConfigurationError(ReproError):
     """Raised when an exact decision procedure is invoked on a language
     combination the paper proves undecidable (FO or FP on either side).

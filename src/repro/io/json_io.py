@@ -24,7 +24,7 @@ from typing import Any, Iterable
 
 from repro.constraints.containment import (ContainmentConstraint,
                                            Projection)
-from repro.errors import ReproError
+from repro.errors import BundleError, ReproError
 from repro.queries.parser import parse_program, parse_query
 from repro.relational.domain import FiniteDomain, INFINITE
 from repro.relational.instance import Instance
@@ -305,9 +305,22 @@ def load_bundle(path: str, *, validate: bool = True,
     fast path for trusted bundles).  *backend* eagerly attaches that
     storage backend (``"python"``, ``"columnar"``, ``"sqlite"``) to the
     loaded instances so the first decision doesn't pay the load cost.
+
+    Raises :class:`~repro.errors.BundleError` when *path* cannot be
+    read, is not JSON, or does not hold a JSON object.
     """
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except OSError as error:
+        raise BundleError(f"cannot read bundle {path!r}: "
+                          f"{error.strerror or error}") from error
+    except ValueError as error:  # JSONDecodeError, UnicodeDecodeError
+        raise BundleError(f"bundle {path!r} is not valid JSON: "
+                          f"{error}") from error
+    if not isinstance(payload, dict):
+        raise BundleError(f"bundle {path!r}: the top level must be a JSON "
+                          f"object, got {type(payload).__name__}")
     schema = schema_from_dict(payload["schema"])
     master_schema = schema_from_dict(payload["master_schema"])
     database = instance_from_dict(payload["database"], schema,

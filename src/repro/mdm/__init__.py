@@ -1,19 +1,11 @@
 """Master-data-management scenario, generators, and audit workflows."""
 
-from repro.mdm.audit import AuditReport, AuditVerdict, CompletenessAudit
-from repro.mdm.generators import GeneratorConfig, generate_scenario
-from repro.mdm.scenario import (CRMScenario, CustomerRecord,
-                                DOMESTIC_COUNTRY_CODE)
-from repro.mdm.scm import SCMScenario
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AuditReport",
-    "AuditVerdict",
-    "CompletenessAudit",
-    "CRMScenario",
-    "CustomerRecord",
-    "DOMESTIC_COUNTRY_CODE",
-    "GeneratorConfig",
-    "SCMScenario",
-    "generate_scenario",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.mdm.audit": ("AuditReport", "AuditVerdict", "CompletenessAudit"),
+    "repro.mdm.generators": ("GeneratorConfig", "generate_scenario"),
+    "repro.mdm.scenario": (
+        "CRMScenario", "CustomerRecord", "DOMESTIC_COUNTRY_CODE"),
+    "repro.mdm.scm": ("SCMScenario",),
+})

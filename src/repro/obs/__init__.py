@@ -27,39 +27,39 @@ import functools
 from contextlib import nullcontext
 from typing import TYPE_CHECKING, Any, Callable, ContextManager
 
-from repro.obs.export import (event_records, prometheus_lines,
-                              render_events, render_prometheus,
-                              write_events, write_prometheus)
-from repro.obs.ledger import (LEDGER_ENV, LEDGER_VERSION, RunRecord,
-                              append_record, check_ledger,
-                              ledger_metrics, ledger_report,
-                              read_ledger, render_summary, run_key,
-                              statistics_fields, summarize_ledger)
+from repro._lazy import lazy_exports
 from repro.obs.metrics import MetricsRegistry, merged_span_ticks
-from repro.obs.profile import profile_rows, render_profile
-from repro.obs.progress import ProgressReporter
 from repro.obs.tracer import Span, Tracer
-from repro.obs.trace_io import (PROCEDURE_TICK_FIELDS, TRACE_VERSION,
-                                atomic_write_text, check_trace,
-                                read_trace, trace_records, write_trace)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.governor import ExecutionGovernor
 
-__all__ = [
-    "Observation", "obs_of", "obs_span", "traced",
-    "Tracer", "Span", "MetricsRegistry",
-    "profile_rows", "render_profile", "merged_span_ticks",
-    "trace_records", "write_trace", "read_trace", "check_trace",
-    "atomic_write_text", "TRACE_VERSION", "PROCEDURE_TICK_FIELDS",
+#: Environment variable naming the default run-ledger file; the CLI
+#: flags and ``benchmarks/report_schema.write_report`` both consult it.
+#: It lives here, not in :mod:`repro.obs.ledger` (which re-exports it),
+#: so a decide without a ledger never imports the ledger.
+LEDGER_ENV = "REPRO_LEDGER"
+
+__getattr__, __dir__, _LAZY_NAMES = lazy_exports(__name__, {
+    "repro.obs.profile": ("profile_rows", "render_profile"),
+    "repro.obs.trace_io": (
+        "trace_records", "write_trace", "read_trace", "check_trace",
+        "atomic_write_text", "TRACE_VERSION", "PROCEDURE_TICK_FIELDS"),
     # The cross-run layer (run ledger, live progress, export).
-    "LEDGER_VERSION", "LEDGER_ENV", "RunRecord", "run_key",
-    "statistics_fields", "append_record", "read_ledger", "check_ledger",
-    "summarize_ledger", "render_summary", "ledger_report",
-    "ledger_metrics", "ProgressReporter",
-    "prometheus_lines", "render_prometheus", "write_prometheus",
-    "event_records", "render_events", "write_events",
-]
+    "repro.obs.ledger": (
+        "LEDGER_VERSION", "RunRecord", "run_key", "statistics_fields",
+        "append_record", "read_ledger", "check_ledger", "summarize_ledger",
+        "render_summary", "ledger_report", "ledger_metrics"),
+    "repro.obs.progress": ("ProgressReporter",),
+    "repro.obs.export": (
+        "prometheus_lines", "render_prometheus", "write_prometheus",
+        "event_records", "render_events", "write_events"),
+})
+
+__all__ = ["Observation", "obs_of", "obs_span", "traced",
+           "Tracer", "Span", "MetricsRegistry", "merged_span_ticks",
+           "LEDGER_ENV",
+           *_LAZY_NAMES]
 
 #: Shared, stateless "not tracing" context — ``nullcontext`` keeps no
 #: per-use state, so one instance serves every disabled span site.

@@ -28,6 +28,8 @@ import math
 import os
 from typing import TYPE_CHECKING, Any, Sequence
 
+from repro.obs import LEDGER_ENV
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.results import SearchStatistics
 
@@ -37,10 +39,6 @@ __all__ = ["LEDGER_VERSION", "LEDGER_ENV", "RunRecord", "run_key",
            "ledger_report", "ledger_metrics", "group_name"]
 
 LEDGER_VERSION = 1
-
-#: Environment variable naming the default ledger file; the CLI flags
-#: and ``benchmarks/report_schema.write_report`` both consult it.
-LEDGER_ENV = "REPRO_LEDGER"
 
 _REQUIRED_KEYS = ("v", "procedure", "verdict", "wall_s")
 

@@ -24,39 +24,41 @@ See ``docs/PARALLEL.md`` for the sharding model and its determinism
 proof obligations.
 """
 
-from repro.parallel.api import (brute_force_rcdp_parallel,
-                                brute_force_rcqp_parallel,
-                                decide_rcdp_parallel,
-                                decide_rcqp_parallel,
-                                decide_rcqp_with_inds_parallel,
-                                missing_answers_parallel)
-from repro.parallel.beacon import WitnessBeacon
-from repro.parallel.partition import (EventCancellation, GovernorSpec,
-                                      ShardSpec, materialize_governor,
-                                      resolve_workers, split_governor,
-                                      suggest_workers)
-from repro.parallel.pool import merged_ticks, run_shards
-from repro.parallel.supervise import ShardSupervisor
-from repro.parallel.worker import ShardOutcome, ShardTask
+import os
 
-__all__ = [
-    "decide_rcdp_parallel",
-    "missing_answers_parallel",
-    "brute_force_rcdp_parallel",
-    "brute_force_rcqp_parallel",
-    "decide_rcqp_parallel",
-    "decide_rcqp_with_inds_parallel",
-    "resolve_workers",
-    "suggest_workers",
-    "split_governor",
-    "materialize_governor",
-    "ShardSpec",
-    "GovernorSpec",
-    "EventCancellation",
-    "ShardTask",
-    "ShardOutcome",
-    "ShardSupervisor",
-    "WitnessBeacon",
-    "run_shards",
-    "merged_ticks",
-]
+from repro._lazy import lazy_exports
+from repro.errors import ReproError
+
+__getattr__, __dir__, _LAZY_NAMES = lazy_exports(__name__, {
+    "repro.parallel.api": (
+        "brute_force_rcdp_parallel", "brute_force_rcqp_parallel",
+        "decide_rcdp_parallel", "decide_rcqp_parallel",
+        "decide_rcqp_with_inds_parallel", "missing_answers_parallel"),
+    "repro.parallel.beacon": ("WitnessBeacon",),
+    "repro.parallel.partition": (
+        "EventCancellation", "GovernorSpec", "ShardSpec",
+        "materialize_governor", "split_governor", "suggest_workers"),
+    "repro.parallel.pool": ("merged_ticks", "run_shards"),
+    "repro.parallel.supervise": ("ShardSupervisor",),
+    "repro.parallel.worker": ("ShardOutcome", "ShardTask"),
+})
+
+__all__ = ["resolve_workers", *_LAZY_NAMES]
+
+
+def resolve_workers(workers: int | None) -> int:
+    """Normalize the deciders' ``workers=`` knob to a positive count.
+
+    ``None`` and ``1`` select the serial path; ``0`` means "all cores"
+    (:func:`os.cpu_count`); negative counts are rejected.  Defined here,
+    not in :mod:`~repro.parallel.partition`, so the serial path of every
+    decider asks this question without importing any parallel module.
+    """
+    if workers is None:
+        return 1
+    if workers < 0:
+        raise ReproError(
+            f"workers must be nonnegative (0 = all cores), got {workers}")
+    if workers == 0:
+        return os.cpu_count() or 1
+    return int(workers)

@@ -33,7 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.faults import FaultInjector
     from repro.runtime.retry import RetryPolicy
 
-__all__ = ["resolve_workers", "suggest_workers", "ShardSpec",
+__all__ = ["suggest_workers", "ShardSpec",
            "GovernorSpec", "split_governor", "materialize_governor",
            "EventCancellation", "parallel_checkpoint_state",
            "unpack_parallel_state"]
@@ -58,22 +58,6 @@ def suggest_workers(estimate: Any, *,
     if ticks <= 0 or cores <= 1:
         return 1
     return max(1, min(cores, ticks // MIN_TICKS_PER_WORKER))
-
-
-def resolve_workers(workers: int | None) -> int:
-    """Normalize the deciders' ``workers=`` knob to a positive count.
-
-    ``None`` and ``1`` select the serial path; ``0`` means "all cores"
-    (:func:`os.cpu_count`); negative counts are rejected.
-    """
-    if workers is None:
-        return 1
-    if workers < 0:
-        raise ReproError(
-            f"workers must be nonnegative (0 = all cores), got {workers}")
-    if workers == 0:
-        return os.cpu_count() or 1
-    return int(workers)
 
 
 @dataclass(frozen=True)

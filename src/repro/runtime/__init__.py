@@ -22,26 +22,15 @@ away the work it has done.  This package provides the machinery:
 See ``docs/RUNTIME.md`` for the full story.
 """
 
-from repro.runtime.budget import Budget
-from repro.runtime.checkpoint import SearchCheckpoint
-from repro.runtime.control import CancellationToken, Deadline
-from repro.runtime.faults import CRASH_EXIT_CODE, FaultInjector
-from repro.runtime.governor import (EXHAUSTION_MODES, ExecutionGovernor,
-                                    resolve_governor,
-                                    validate_exhaustion_mode)
-from repro.runtime.retry import POISON_MODES, RetryPolicy
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Budget",
-    "CRASH_EXIT_CODE",
-    "CancellationToken",
-    "Deadline",
-    "EXHAUSTION_MODES",
-    "ExecutionGovernor",
-    "FaultInjector",
-    "POISON_MODES",
-    "RetryPolicy",
-    "SearchCheckpoint",
-    "resolve_governor",
-    "validate_exhaustion_mode",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.runtime.budget": ("Budget",),
+    "repro.runtime.checkpoint": ("SearchCheckpoint",),
+    "repro.runtime.control": ("CancellationToken", "Deadline"),
+    "repro.runtime.faults": ("CRASH_EXIT_CODE", "FaultInjector"),
+    "repro.runtime.governor": (
+        "EXHAUSTION_MODES", "ExecutionGovernor", "resolve_governor",
+        "validate_exhaustion_mode"),
+    "repro.runtime.retry": ("POISON_MODES", "RetryPolicy"),
+})

@@ -1,31 +1,16 @@
 """Reference solvers for the hardness-reduction source problems."""
 
-from repro.solvers.qbf import (ExistsForall3SAT, ExistsForallExists3SAT,
-                               ForallExists3SAT,
-                               random_exists_forall_3sat,
-                               random_exists_forall_exists_3sat,
-                               random_forall_exists_3sat)
-from repro.solvers.sat import (CNF, dpll_satisfiable, evaluate_cnf,
-                               random_3sat)
-from repro.solvers.tiling import (TilingInstance, random_tiling_instance,
-                                  solve_tiling, verify_tiling)
-from repro.solvers.twohead import TwoHeadDFA, bounded_emptiness
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CNF",
-    "ExistsForall3SAT",
-    "ExistsForallExists3SAT",
-    "ForallExists3SAT",
-    "TilingInstance",
-    "TwoHeadDFA",
-    "bounded_emptiness",
-    "dpll_satisfiable",
-    "evaluate_cnf",
-    "random_3sat",
-    "random_exists_forall_3sat",
-    "random_exists_forall_exists_3sat",
-    "random_forall_exists_3sat",
-    "random_tiling_instance",
-    "solve_tiling",
-    "verify_tiling",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.solvers.qbf": (
+        "ExistsForall3SAT", "ExistsForallExists3SAT", "ForallExists3SAT",
+        "random_exists_forall_3sat", "random_exists_forall_exists_3sat",
+        "random_forall_exists_3sat"),
+    "repro.solvers.sat": (
+        "CNF", "dpll_satisfiable", "evaluate_cnf", "random_3sat"),
+    "repro.solvers.tiling": (
+        "TilingInstance", "random_tiling_instance", "solve_tiling",
+        "verify_tiling"),
+    "repro.solvers.twohead": ("TwoHeadDFA", "bounded_emptiness"),
+})

@@ -90,6 +90,24 @@ class TestErrors:
         assert main(["rcdp", str(path)]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read bundle"),
+        ("{bad", "is not valid JSON"),
+        ("[]", "must be a JSON object, got list"),
+    ], ids=["missing-file", "invalid-json", "top-level-array"])
+    def test_unloadable_bundle_exits_two(self, tmp_path, capsys,
+                                         content, message):
+        # Exit 1 means INCOMPLETE, so a bad input must never produce it.
+        path = tmp_path / "bundle.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["decide", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and message in lines[0]
+
 
 class TestAuditCommand:
     def test_trustworthy_exit_zero(self, bundle_path, capsys):
