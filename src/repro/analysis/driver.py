@@ -248,6 +248,8 @@ def lint_path(path: str, *, deep: bool = True, flow: bool = True) -> Report:
     import json
     import os
 
+    from repro.io.json_io import check_bundle_shape
+
     if os.path.isdir(path):
         merged: list[Diagnostic] = []
         sources: dict[str, str] = {}
@@ -277,4 +279,5 @@ def lint_path(path: str, *, deep: bool = True, flow: bool = True) -> Report:
     if not isinstance(payload, dict) or "schema" not in payload:
         raise QueryError(f"{path} is not a scenario bundle "
                          f"(no 'schema' block)")
+    check_bundle_shape(payload, path)
     return lint_bundle(payload, deep=deep, flow=flow)

@@ -4,20 +4,26 @@ Every decision procedure in this library evaluates the same handful of
 queries and constraints against the same master data and a stream of
 candidate extensions.  The context is the object that makes that cheap:
 
-* **compiled plans** per query body (and per pinned first atom, for
-  delta plans) — compiled once, reused for every instance;
-* **hash indexes** per instance, built lazily per ``(relation, bound
-  positions)`` pair and charged to the attached governor;
+* **compiled plans** per query body — compiled once, reused for every
+  instance;
+* **index charging**: every evaluation runs on the instance's storage
+  (:mod:`repro.relational.backends`), which builds its indexes lazily
+  per ``(relation, bound positions)`` pair and reports each one a plan
+  requires; the context charges each once per instance to the attached
+  governor (:meth:`EvaluationContext.build_charger`);
 * **answer memoization** ``Q(D)`` per ``(query, instance)`` pair;
 * **master projections** ``p(Dm)`` per ``(projection, master)`` pair —
   previously recomputed on every single constraint check;
 * **delta evaluation** ``Q(D ∪ Δ)`` from cached ``Q(D)`` via the
-  semi-naive rule (at least one atom must match a new Δ-fact).
+  semi-naive rule (at least one atom must match a new Δ-fact);
+* **containment checks** ``q(D ∪ Δ) ⊆ p(Dm)`` per block of candidate
+  extensions, with the per-(constraint, base, master) part — plans,
+  the allowed rows — prepared once (:meth:`EvaluationContext.
+  extension_violations`).
 
-Instances cannot be weak-referenced (``__slots__`` without
-``__weakref__``), so caches are keyed by ``id()`` with the instance
-pinned in an LRU table; eviction purges every dependent cache entry, so
-a recycled ``id()`` can never alias stale answers.
+Caches are keyed by ``id()`` with the instance pinned in an LRU table;
+eviction purges every dependent cache entry, so a recycled ``id()`` can
+never alias stale answers.
 
 A context is optional everywhere: every public API works without one,
 and creates no cross-call state when none is given.
@@ -26,18 +32,17 @@ and creates no cross-call state when none is given.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
+from typing import (TYPE_CHECKING, Any, Callable, Iterable, Iterator,
+                    Sequence)
 
-from repro.engine.executor import (ChainSource, DeltaSource, IndexedSource,
-                                   iter_rows)
-from repro.engine.indexes import InstanceIndexes
 from repro.engine.plan import CompiledPlan, compile_plan
 from repro.relational.backends import resolve_backend_name
 from repro.relational.instance import Instance
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.results import SearchStatistics
-    from repro.relational.backends import StorageBackend
+    from repro.relational.backends import (DeltaRows, OnBlockBuild,
+                                           OnBuild, StorageBackend)
     from repro.runtime.governor import ExecutionGovernor
 
 __all__ = ["EngineStatistics", "EvaluationContext", "ENGINE_LANGUAGES"]
@@ -96,8 +101,8 @@ class EngineStatistics:
 class EvaluationContext:
     """Shared evaluation state for one decision (or one audit session).
 
-    ``governor`` is deliberately a plain mutable attribute: deciders
-    attach their governor only around the search loop (via
+    ``governor`` is deliberately mutable: deciders attach their
+    governor only around the search loop (via
     :meth:`governed`), so engine work during setup — baseline answers,
     master projections — is never charged, keeping the governor's tick
     accounting identical to the pre-engine code.
@@ -110,34 +115,38 @@ class EvaluationContext:
     ``REPRO_BACKEND`` environment variable.
     """
 
-    __slots__ = ("governor", "statistics", "max_cached_instances",
-                 "backend", "_instances", "_indexes", "_answers",
+    __slots__ = ("_meter", "statistics", "max_cached_instances",
+                 "backend", "_instances", "_answers",
                  "_projections", "_queries", "_plans", "_memo", "_pinned",
-                 "_charged_indexes")
+                 "_chargers", "_checks", "_storages")
 
     def __init__(self, *, governor: "ExecutionGovernor | None" = None,
                  max_cached_instances: int = 256,
                  backend: str | None = None) -> None:
-        self.governor = governor
         self.backend = resolve_backend_name(backend)
         self.statistics = EngineStatistics()
+        self._meter = _Meter(governor, self.statistics)
         self.max_cached_instances = max_cached_instances
         #: LRU of pinned instances: id -> Instance (insertion-ordered).
         self._instances: dict[int, Instance] = {}
-        self._indexes: dict[int, InstanceIndexes] = {}
         #: per-instance answer cache: instance id -> {query id: answers}.
         self._answers: dict[int, dict[int, frozenset[tuple]]] = {}
         #: per-instance projection cache: instance id -> {p: p(Dm)}.
         self._projections: dict[int, dict[Any, frozenset[tuple]]] = {}
         #: queries pinned forever (there are few of them).
         self._queries: dict[int, Any] = {}
-        self._plans: dict[tuple[int, int | None], CompiledPlan] = {}
+        self._plans: dict[int, CompiledPlan] = {}
         self._memo: dict[Any, Any] = {}
         self._pinned: dict[int, Any] = {}
-        #: indexes already charged to this context, per instance id —
+        #: per instance id, the callbacks charging its indexes once —
         #: storages are shared across contexts, so build accounting
         #: must be deduplicated here to stay run-deterministic.
-        self._charged_indexes: dict[int, set[tuple[str, tuple]]] = {}
+        self._chargers: dict[int, tuple["OnBuild", "OnBlockBuild"]] = {}
+        #: prepared containment checks, per base instance id:
+        #: {(query id, projection id, master id): _PreparedCheck}.
+        self._checks: dict[int, dict[tuple, _PreparedCheck]] = {}
+        #: this context's python storages, per instance id.
+        self._storages: dict[int, "StorageBackend"] = {}
 
     # ------------------------------------------------------------------
     # Pinning and eviction
@@ -160,10 +169,11 @@ class EvaluationContext:
         """Drop an instance and every cache entry derived from it, so a
         future object reusing the same ``id()`` cannot alias it."""
         self._instances.pop(key, None)
-        self._indexes.pop(key, None)
         self._answers.pop(key, None)
         self._projections.pop(key, None)
-        self._charged_indexes.pop(key, None)
+        self._chargers.pop(key, None)
+        self._storages.pop(key, None)
+        self._checks.pop(key, None)
 
     def _pin_query(self, query: Any) -> int:
         key = id(query)
@@ -175,57 +185,87 @@ class EvaluationContext:
     # Plans and indexes
     # ------------------------------------------------------------------
 
-    def plan_for(self, query: Any,
-                 first_atom: int | None = None) -> CompiledPlan:
-        """The compiled plan of a CQ *query* (cached per first-atom pin)."""
-        key = (self._pin_query(query), first_atom)
+    def plan_for(self, query: Any) -> CompiledPlan:
+        """The compiled plan of a CQ *query* (its delta plans are
+        compiled on demand by the plan itself)."""
+        key = self._pin_query(query)
         plan = self._plans.get(key)
         if plan is None:
-            plan = compile_plan(query, first_atom)
+            plan = compile_plan(query)
             self._plans[key] = plan
             self.statistics.plans_compiled += 1
         return plan
 
-    def indexes_for(self, instance: Instance) -> InstanceIndexes:
-        """The (lazily populated) hash indexes of *instance*."""
-        key = self._pin_instance(instance)
-        indexes = self._indexes.get(key)
-        if indexes is None:
-            indexes = InstanceIndexes(instance, on_build=self._on_build)
-            self._indexes[key] = indexes
-        return indexes
-
     def storage_for(self, instance: Instance) -> "StorageBackend":
-        """The instance's storage for this context's backend (pinned so
-        the storage-holding instance survives the LRU)."""
-        self._pin_instance(instance)
-        return instance.storage(self.backend)
+        """The storage every evaluation on *instance* routes through.
 
-    def _on_build(self, relation: str, positions: tuple[int, ...]) -> None:
-        if self.governor is not None:
-            self.governor.tick("index_builds")
-        self.statistics.index_builds += 1
-
-    def _storage_on_build(self, instance: Instance) -> Callable:
-        """An ``on_build`` callback for *instance*'s shared storage.
-
-        Storages outlive contexts (they are cached on the instance), so
-        they report every index a plan *requires*; this wrapper charges
-        each ``(relation, positions)`` pair once per instance per
-        context — exactly what a cold run would build — keeping the
-        counters identical whether or not the storage is pre-warmed.
+        A columnar or SQLite storage is costly to build, so it is the
+        one cached on the instance and shared by every context (the
+        instance is pinned so it survives the LRU).  A python storage
+        is cheap to build but accumulates per-decision state (hash
+        indexes, ``Q(D)`` per plan), so each context owns its own and
+        drops it with the instance's other cache entries.
         """
         key = self._pin_instance(instance)
-        charged = self._charged_indexes.setdefault(key, set())
+        if self.backend != "python":
+            return instance.storage(self.backend)
+        storage = self._storages.get(key)
+        if storage is None:
+            from repro.relational.backends import create_storage
+
+            storage = create_storage("python", instance)
+            self._storages[key] = storage
+        return storage
+
+    @property
+    def governor(self) -> "ExecutionGovernor | None":
+        """The governor index builds are charged to (``None``: none)."""
+        return self._meter.governor
+
+    @governor.setter
+    def governor(self, governor: "ExecutionGovernor | None") -> None:
+        self._meter.governor = governor
+
+    def build_charger(self, instance: Instance) -> "OnBuild":
+        """An ``on_build`` callback charging *instance*'s indexes.
+
+        Storages report every index a plan *requires* (the shared ones
+        outlive contexts: they are cached on the instance); this
+        callback charges each ``(relation, positions)`` pair once per
+        instance per context — exactly what a cold run would build —
+        keeping the counters identical whether or not the storage is
+        pre-warmed.
+        A pair counts as charged only once its tick went through, so an
+        interrupted charge is charged again by the next requirement.
+        """
+        return self._chargers_for(instance)[0]
+
+    def _chargers_for(self, instance: Instance,
+                      ) -> tuple["OnBuild", "OnBlockBuild"]:
+        """:meth:`build_charger` and its block form, which ignores the
+        candidate (a one-at-a-time check charges on the spot)."""
+        key = self._pin_instance(instance)
+        chargers = self._chargers.get(key)
+        if chargers is not None:
+            return chargers
+        charged: set[tuple[str, tuple[int, ...]]] = set()
+        meter = self._meter  # not self: no cycle through the context
 
         def on_build(relation: str, positions: tuple[int, ...]) -> None:
             index_key = (relation, positions)
             if index_key in charged:
                 return
+            if meter.governor is not None:
+                meter.governor.tick("index_builds")
+            meter.statistics.index_builds += 1
             charged.add(index_key)
-            self._on_build(relation, positions)
 
-        return on_build
+        def on_block_build(_: int, relation: str,
+                           positions: tuple[int, ...]) -> None:
+            on_build(relation, positions)
+
+        chargers = self._chargers[key] = (on_build, on_block_build)
+        return chargers
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -260,21 +300,13 @@ class EvaluationContext:
 
     def _engine_evaluate(self, query: Any,
                          instance: Instance) -> frozenset[tuple]:
-        if self.backend != "python":
-            storage = self.storage_for(instance)
-            on_build = self._storage_on_build(instance)
-            answers: set[tuple] = set()
-            for disjunct in query.to_cq_disjuncts():
-                answers.update(storage.plan_rows(
-                    self.plan_for(disjunct), on_build=on_build))
-            return frozenset(answers)
-        source = IndexedSource(self.indexes_for(instance))
-        answers = set()
-        for disjunct in query.to_cq_disjuncts():
-            plan = self.plan_for(disjunct)
-            sources = (source,) * len(plan.steps)
-            answers.update(iter_rows(plan, sources))
-        return frozenset(answers)
+        storage = self.storage_for(instance)
+        on_build = self.build_charger(instance)
+        rows = [storage.plan_rows(self.plan_for(disjunct), on_build=on_build)
+                for disjunct in query.to_cq_disjuncts()]
+        if len(rows) == 1:
+            return rows[0]  # shared with the storage's own cache
+        return frozenset().union(*rows)
 
     # ------------------------------------------------------------------
     # Delta evaluation
@@ -284,16 +316,18 @@ class EvaluationContext:
                            delta_facts: Iterable[Fact]) -> frozenset[tuple]:
         """``Q(base ∪ Δ)`` without materializing the union.
 
-        For the monotone engine languages this uses the semi-naive rule:
-        every genuinely new answer has at least one atom matched by a new
-        Δ-fact, so for each disjunct and each atom position ``j`` a delta
-        plan is run in which atom ``j`` ranges over ``Δ \\ D`` only,
-        atoms at earlier body positions over ``D`` only, and later ones
-        over ``D ∪ Δ`` — partitioning the new bindings by their minimal
-        Δ-atom so none is enumerated twice.  Non-monotone languages
-        (FO, FP) materialize the union and evaluate it directly.
+        For the monotone engine languages the base's storage adds the
+        answers Δ brings to the cached ``Q(base)`` — the python storage
+        by the semi-naive rule: every genuinely new answer has at least
+        one atom matched by a new Δ-fact, so for each disjunct and each
+        atom position ``j`` a delta plan is run in which atom ``j``
+        ranges over ``Δ \\ D`` only, atoms at earlier body positions
+        over ``D`` only, and later ones over ``D ∪ Δ`` — partitioning the
+        new bindings by their minimal Δ-atom so none is enumerated
+        twice.  Non-monotone languages (FO, FP) materialize the union
+        and evaluate it directly.
         """
-        new_rows = self._new_rows(base, delta_facts)
+        new_rows = self.new_rows(base, delta_facts)
         if getattr(query, "language", None) not in ENGINE_LANGUAGES:
             # Non-monotone fallback: materialize D ∪ Δ.  The union is
             # ephemeral (one per candidate), so it is not answer-cached.
@@ -313,36 +347,17 @@ class EvaluationContext:
             # it true under any extension.
             return base_answers
         self.statistics.delta_evaluations += 1
-        if self.backend != "python":
-            storage = self.storage_for(base)
-            on_build = self._storage_on_build(base)
-            answers = set(base_answers)
-            for disjunct in query.to_cq_disjuncts():
-                answers.update(storage.plan_rows_extended(
-                    self.plan_for(disjunct), new_rows,
-                    on_build=on_build))
-            return frozenset(answers)
-        base_source = IndexedSource(self.indexes_for(base))
-        delta_source = DeltaSource(new_rows)
-        chain_source = ChainSource(base_source, delta_source)
+        storage = self.storage_for(base)
+        on_build = self.build_charger(base)
         answers = set(base_answers)
         for disjunct in query.to_cq_disjuncts():
-            atoms = disjunct.relation_atoms
-            for j, atom in enumerate(atoms):
-                if atom.relation not in new_rows:
-                    continue
-                plan = self.plan_for(disjunct, first_atom=j)
-                sources = tuple(
-                    delta_source if step.atom_index == j
-                    else base_source if step.atom_index < j
-                    else chain_source
-                    for step in plan.steps)
-                answers.update(iter_rows(plan, sources))
+            answers.update(storage.plan_rows_extended(
+                self.plan_for(disjunct), new_rows, on_build=on_build))
         return frozenset(answers)
 
     @staticmethod
-    def _new_rows(base: Instance, delta_facts: Iterable[Fact],
-                  ) -> dict[str, list[tuple]]:
+    def new_rows(base: Instance, delta_facts: Iterable[Fact],
+                 ) -> dict[str, list[tuple]]:
         """Δ-facts grouped by relation, minus rows already in *base*."""
         new_rows: dict[str, list[tuple]] = {}
         for name, row in delta_facts:
@@ -359,37 +374,98 @@ class EvaluationContext:
         """Whether ``Q(base ∪ Δ) ⊆ p(master)`` — the containment
         constraint check on a candidate extension.
 
-        On the non-python backends this is the pushdown fast path: the
-        storage decides *violation* directly (``plan_violates``), so an
-        at-most-``k`` constraint (empty target) becomes a single
-        existence probe that stops at the first answer instead of
-        materializing ``Q(base ∪ Δ)``.  The python backend (and
-        non-engine languages) keep the exact original evaluation, so
-        verdicts and counters there are byte-identical to the
-        pre-backend code.
+        For the engine languages this is the check of
+        :meth:`extension_violations` on a block of one candidate, with
+        every index it needs charged on the spot.  A Δ adding nothing new reduces to the
+        cached ``Q(base)``; non-engine languages evaluate the union.
         """
-        if (self.backend != "python"
-                and getattr(query, "language", None) in ENGINE_LANGUAGES):
-            delta_facts = list(delta_facts)
-            new_rows = self._new_rows(base, delta_facts)
+        if getattr(query, "language", None) in ENGINE_LANGUAGES:
+            new_rows = self.new_rows(base, delta_facts)
             if new_rows:
-                storage = self.storage_for(base)
-                on_build = self._storage_on_build(base)
-                allowed = (None if projection.is_empty_target
-                           else self.projection_rows(projection, master))
+                check = self._prepared_check(query, base, projection,
+                                             master)
                 self.statistics.delta_evaluations += 1
-                for disjunct in query.to_cq_disjuncts():
-                    plan = self.plan_for(disjunct)
-                    if storage.plan_violates(plan, new_rows, allowed,
-                                             on_build=on_build):
-                        return False
-                return True
+                return not any(check.storage.plan_violations(
+                    plan, (new_rows,), check.allowed, on_build=check.charge)
+                    for plan in check.plans)
         answers = self.evaluate_extension(query, base, delta_facts)
         if not answers:
             return True
         if projection.is_empty_target:
             return False
         return answers <= self.projection_rows(projection, master)
+
+    def extension_violations(self, constraints: Sequence[Any],
+                             base: Instance,
+                             candidates: Sequence["DeltaRows"],
+                             master: Instance, *,
+                             on_build: "OnBlockBuild | None" = None,
+                             ) -> set[int]:
+        """The indices of the *candidates* Δ for which ``(base ∪ Δ,
+        master)`` violates some of the containment *constraints* — the
+        constraint check over a block.
+
+        Each constraint's query must be in :data:`ENGINE_LANGUAGES`;
+        each candidate is a Δ grouped by relation and pre-filtered
+        against *base* (see :meth:`new_rows`).  Plan by plan —
+        constraint by constraint, disjunct by disjunct — the base's
+        storage checks the candidates not yet found violating
+        (:meth:`~repro.relational.backends.StorageBackend
+        .plan_violations`), so a candidate's checks stop at its first
+        violation, as one at a time.  *on_build* receives each
+        candidate's index requirements, to be charged (through
+        :meth:`build_charger`) where a candidate-at-a-time loop would
+        have charged them; nothing is charged here.
+        """
+        return self._violations(
+            [self._prepared_check(c.query, base, c.projection, master)
+             for c in constraints], candidates, on_build)
+
+    def _violations(self, checks: Sequence["_PreparedCheck"],
+                    candidates: Sequence["DeltaRows"],
+                    on_build: "OnBlockBuild | None") -> set[int]:
+        violating: set[int] = set()
+        for check in checks:
+            self.statistics.delta_evaluations += (len(candidates)
+                                                  - len(violating))
+            for plan in check.plans:
+                if not violating:  # every candidate is still in
+                    found = check.storage.plan_violations(
+                        plan, candidates, check.allowed,
+                        on_build=on_build)
+                else:
+                    alive = [i for i in range(len(candidates))
+                             if i not in violating]
+                    if not alive:
+                        return violating
+                    report = None if on_build is None else (
+                        lambda k, relation, positions, alive=alive:
+                        on_build(alive[k], relation, positions))
+                    found = {alive[k] for k in check.storage.plan_violations(
+                        plan, [candidates[i] for i in alive],
+                        check.allowed, on_build=report)}
+                violating |= found
+        return violating
+
+    def _prepared_check(self, query: Any, base: Instance, projection: Any,
+                        master: Instance) -> "_PreparedCheck":
+        """The per-(constraint, base, master) part of a containment
+        check, built once: the base's storage, the compiled plan of
+        every disjunct and the allowed rows (``None`` for ``∅``)."""
+        per_base = self._checks.setdefault(self._pin_instance(base), {})
+        key = (id(query), id(projection), id(master))
+        check = per_base.get(key)
+        if check is None or check.query is not query \
+                or check.projection is not projection \
+                or check.master is not master:
+            allowed = (None if projection.is_empty_target
+                       else self.projection_rows(projection, master))
+            check = _PreparedCheck(
+                query, projection, master, self.storage_for(base), allowed,
+                tuple(self.plan_for(d) for d in query.to_cq_disjuncts()),
+                self._chargers_for(base)[1])
+            per_base[key] = check
+        return check
 
     # ------------------------------------------------------------------
     # Master projections
@@ -447,3 +523,39 @@ class EvaluationContext:
     def __repr__(self) -> str:
         return (f"EvaluationContext[instances={len(self._instances)}, "
                 f"plans={len(self._plans)}, {self.statistics!r}]")
+
+
+class _Meter:
+    """Where index builds are charged: the attached governor and the
+    engine counters.  Chargers hold this rather than the context, so a
+    context's caches never form a reference cycle with it and are freed
+    as soon as the decision drops the context."""
+
+    __slots__ = ("governor", "statistics")
+
+    def __init__(self, governor: "ExecutionGovernor | None",
+                 statistics: EngineStatistics) -> None:
+        self.governor = governor
+        self.statistics = statistics
+
+
+class _PreparedCheck:
+    """See :meth:`EvaluationContext._prepared_check`; ``charge`` charges
+    a requirement of any candidate on the spot (the one-at-a-time
+    check)."""
+
+    __slots__ = ("query", "projection", "master", "storage", "allowed",
+                 "plans", "charge")
+
+    def __init__(self, query: Any, projection: Any, master: Instance,
+                 storage: "StorageBackend",
+                 allowed: frozenset[tuple] | None,
+                 plans: tuple[CompiledPlan, ...],
+                 charge: "OnBlockBuild") -> None:
+        self.query = query
+        self.projection = projection
+        self.master = master
+        self.storage = storage
+        self.allowed = allowed
+        self.plans = plans
+        self.charge = charge

@@ -19,14 +19,14 @@ Row sources are what make the same executor serve both evaluation modes:
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any, Iterator, Mapping, Sequence
 
 from repro.engine.indexes import InstanceIndexes
 from repro.engine.plan import CompiledPlan, PlanStep
 from repro.queries.terms import Const, Var
 
 __all__ = ["IndexedSource", "DeltaSource", "ChainSource",
-           "iter_rows", "evaluate_plan", "plan_holds"]
+           "iter_rows", "iter_new_rows", "evaluate_plan", "plan_holds"]
 
 Binding = dict[Var, Any]
 
@@ -52,7 +52,8 @@ class DeltaSource:
 
     __slots__ = ("rows_by_relation",)
 
-    def __init__(self, rows_by_relation: dict[str, list[tuple]]) -> None:
+    def __init__(self,
+                 rows_by_relation: Mapping[str, Sequence[tuple]]) -> None:
         self.rows_by_relation = rows_by_relation
 
     def rows(self, step: PlanStep, key: tuple) -> list[tuple]:
@@ -132,6 +133,29 @@ def _search(plan: CompiledPlan, sources: tuple[Any, ...],
             yield from _search(plan, sources, depth + 1, binding)
         for _, variable in step.outputs:
             del binding[variable]
+
+
+def iter_new_rows(plan: CompiledPlan, base: Any,
+                  delta: Mapping[str, Sequence[tuple]]) -> Iterator[tuple]:
+    """Head rows of the bindings of *plan* over ``base ∪ Δ`` that use
+    at least one Δ-row (with duplicates), by the semi-naive rule: per
+    atom ``j`` with Δ-rows, the delta plan pinning ``j`` reads ``j``
+    from Δ, earlier atoms from *base* and later ones from ``base ∪ Δ``,
+    so each binding is enumerated once, under its first Δ-atom.  *base*
+    is the row source of the base instance; Δ must be disjoint from
+    it."""
+    delta_source = DeltaSource(delta)
+    chain = ChainSource(base, delta_source)
+    for j, atom in enumerate(plan.query.relation_atoms):
+        if not delta.get(atom.relation):
+            continue
+        pinned = plan.delta_plan(j)
+        sources = tuple(
+            delta_source if step.atom_index == j
+            else base if step.atom_index < j
+            else chain
+            for step in pinned.steps)
+        yield from iter_rows(pinned, sources)
 
 
 def evaluate_plan(plan: CompiledPlan,

@@ -21,7 +21,7 @@ Plans come in two flavors:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.queries.atoms import Eq, Neq
@@ -92,10 +92,23 @@ class CompiledPlan:
     steps: tuple[PlanStep, ...]
     head: tuple[Term, ...]
     satisfiable: bool
+    #: Delta plans of the same query, compiled on first use.
+    _pinned: dict[int, "CompiledPlan"] = field(
+        default_factory=dict, compare=False, repr=False)
 
     @property
     def is_boolean(self) -> bool:
         return not self.head
+
+    def delta_plan(self, first_atom: int) -> "CompiledPlan":
+        """The plan of the same query with atom *first_atom* pinned as
+        the first step (compiled once per plan, shared by every
+        storage that evaluates it)."""
+        plan = self._pinned.get(first_atom)
+        if plan is None:
+            plan = compile_plan(self.query, first_atom)
+            self._pinned[first_atom] = plan
+        return plan
 
     def scan_steps(self) -> tuple[PlanStep, ...]:
         """The steps that rescan their whole relation (no index key).

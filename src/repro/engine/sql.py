@@ -22,6 +22,16 @@ Lowering rules (see ``docs/BACKENDS.md``):
   head selects nothing and callers probe with ``EXISTS``-style
   ``SELECT 1 … LIMIT 1``.
 
+A block of candidate extensions is checked over ``vid``-tagged *delta
+tables* (one per relation: a ``vid`` column, then the relation's
+columns) by :meth:`LoweredPlan.sql_delta`: the steps of a chosen
+non-empty set range over the delta tables, all on the same ``vid`` as
+the first of them, the other steps over the base tables.  One statement
+per non-empty set of steps over the relations the block touches is the
+semi-naive partition with each later atom's ``D ∪ Δ_v`` split into its
+two halves, so every binding that uses a Δ-row is found exactly once
+and never mixes two candidates' rows.
+
 Constants stay *raw* in :attr:`LoweredPlan.params`: tables hold interned
 codes, and only the storage owns the interner, so it encodes the
 parameters at execution time.
@@ -30,7 +40,7 @@ parameters at execution time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from repro.engine.plan import CompiledPlan
 from repro.queries.atoms import Eq
@@ -43,15 +53,17 @@ __all__ = ["LoweredPlan", "lower_plan"]
 class LoweredPlan:
     """One plan lowered to SQL fragments.
 
-    ``select_cols`` are the column references of the head's distinct
-    variables, in first-occurrence order; ``head_pattern`` rebuilds a
-    head row from a fetched result: ``("const", value)`` entries are
-    emitted verbatim, ``("col", i)`` entries read the ``i``-th selected
-    column (a code, to be decoded by the storage).  ``params`` are the
-    raw constant values matching the ``?`` placeholders in ``where``.
+    ``tables`` names the base table of each plan step, in step order
+    (step ``i`` is aliased ``s{i}``).  ``select_cols`` are the column
+    references of the head's distinct variables, in first-occurrence
+    order; ``head_pattern`` rebuilds a head row from a fetched result:
+    ``("const", value)`` entries are emitted verbatim, ``("col", i)``
+    entries read the ``i``-th selected column (a code, to be decoded by
+    the storage).  ``params`` are the raw constant values matching the
+    ``?`` placeholders in ``where``.
     """
 
-    from_clause: str
+    tables: tuple[str, ...]
     where: tuple[str, ...]
     params: tuple[Any, ...]
     select_cols: tuple[str, ...]
@@ -63,21 +75,45 @@ class LoweredPlan:
         if not self.select_cols:
             return self.sql_exists()
         return (f"SELECT DISTINCT {', '.join(self.select_cols)} "
-                f"{self._tail()}")
+                f"{_clause(self._from(), self.where)}")
 
     def sql_exists(self, extra: str = "") -> str:
         """``SELECT 1 … LIMIT 1`` existence probe, optionally with an
         *extra* conjunct (the violation check's ``NOT IN`` filter)."""
         conjuncts = self.where + ((extra,) if extra else ())
-        clause = self.from_clause
-        if conjuncts:
-            clause += " WHERE " + " AND ".join(conjuncts)
-        return f"SELECT 1 {clause} LIMIT 1"
+        return f"SELECT 1 {_clause(self._from(), conjuncts)} LIMIT 1"
 
-    def _tail(self) -> str:
-        if self.where:
-            return self.from_clause + " WHERE " + " AND ".join(self.where)
-        return self.from_clause
+    def sql_delta(self, delta_steps: Sequence[int],
+                  delta_table_of: Mapping[str, str], extra: str = "",
+                  columns: bool = False) -> str:
+        """``SELECT DISTINCT vid`` of the bindings whose *delta_steps*
+        (non-empty, ascending) all range over the same candidate's rows
+        in the delta tables and whose other steps range over the base.
+        *extra* is an additional conjunct; *columns* also selects the
+        head columns (for a violation test done by the caller)."""
+        first = delta_steps[0]
+        tagged = set(delta_steps)
+        tables = ", ".join(
+            f"{delta_table_of[table] if i in tagged else table} AS s{i}"
+            for i, table in enumerate(self.tables))
+        conjuncts = self.where + tuple(
+            f"s{i}.vid = s{first}.vid" for i in delta_steps[1:])
+        if extra:
+            conjuncts += (extra,)
+        selected = (f"s{first}.vid",) + (self.select_cols if columns
+                                           else ())
+        return (f"SELECT DISTINCT {', '.join(selected)} "
+                f"{_clause('FROM ' + tables, conjuncts)}")
+
+    def _from(self) -> str:
+        return "FROM " + ", ".join(f"{table} AS s{i}"
+                                   for i, table in enumerate(self.tables))
+
+
+def _clause(from_clause: str, conjuncts: tuple[str, ...]) -> str:
+    if conjuncts:
+        return from_clause + " WHERE " + " AND ".join(conjuncts)
+    return from_clause
 
 
 def lower_plan(plan: CompiledPlan,
@@ -92,7 +128,7 @@ def lower_plan(plan: CompiledPlan,
     params: list[Any] = []
     defining: dict[Var, str] = {}
     for i, step in enumerate(plan.steps):
-        tables.append(f"{table_of[step.relation]} AS s{i}")
+        tables.append(table_of[step.relation])
         for position, term in zip(step.key_positions, step.key_terms):
             column = f"s{i}.c{position}"
             if isinstance(term, Const):
@@ -125,7 +161,7 @@ def lower_plan(plan: CompiledPlan,
         head_pattern.append(("col", index))
 
     return LoweredPlan(
-        from_clause="FROM " + ", ".join(tables),
+        tables=tuple(tables),
         where=tuple(where),
         params=tuple(params),
         select_cols=tuple(select_cols),

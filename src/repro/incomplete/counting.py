@@ -18,6 +18,19 @@ Monet (arXiv:1912.11064), layered on the paper's margin semantics:
 Both are governed like the deciders (budget / deadline / cancellation
 at every valuation boundary) and degrade gracefully to a lower-bound
 count with ``exhaustive=False``.
+
+The extension count checks its candidates a block at a time: the
+valuations of a block are enumerated first, every distinct fresh-fact
+set among them is checked against the constraints in one
+:meth:`~repro.engine.context.EvaluationContext.extension_violations`
+call per constraint, and the results are then folded in enumeration
+order.  The fold charges the governor exactly where the
+candidate-at-a-time loop did — a ``valuations`` tick per valuation, and
+each index a check requires at the first candidate whose check required
+it — so counts, statistics and per-kind ticks are the same for every
+budget and ``max_extensions``.  A deadline or cancellation is noticed
+at a valuation's tick, which comes after its whole block was checked,
+so up to one block of work can run past it.
 """
 
 from __future__ import annotations
@@ -27,8 +40,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.constraints.containment import (ContainmentConstraint,
-                                           satisfies_all,
-                                           satisfies_all_extension)
+                                           satisfies_all)
 from repro.core.rcdp import (assert_decidable_configuration,
                              ensure_partially_closed,
                              missing_answers_report, resolve_context,
@@ -45,6 +57,12 @@ from repro.runtime import (ExecutionGovernor, resolve_governor,
 
 __all__ = ["CountReport", "count_missing_answers",
            "count_completing_extensions"]
+
+#: Valuations enumerated per block of the extension count.
+BLOCK_SIZE = 256
+
+#: An index requirement: ``(relation, key positions)``.
+_Requirement = tuple[str, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -161,47 +179,93 @@ def count_completing_extensions(
             stats = stats.merged(context.statistics.since(engine_base))
         return stats
 
+    def _check(candidates: list[list[tuple[str, tuple]]],
+               ) -> tuple[set[int], list[list[_Requirement]]]:
+        """The candidate Δs violating some non-IND constraint, and the
+        index requirements of each candidate's checks in the order a
+        one-at-a-time check meets them."""
+        needs: list[list[_Requirement]] = [[] for _ in candidates]
+        if context is None:
+            return {i for i, delta in enumerate(candidates)
+                    if not satisfies_all(extend_unvalidated(database, delta),
+                                         master, other_constraints)}, needs
+
+        def record(vid: int, relation: str,
+                   positions: tuple[int, ...]) -> None:
+            needs[vid].append((relation, positions))
+
+        return context.extension_violations(
+            other_constraints, database,
+            [context.new_rows(database, delta) for delta in candidates],
+            master, on_build=record), needs
+
+    # Without a context there is nothing to charge (no requirements).
+    charge = (context.build_charger(database) if context is not None
+              else lambda relation, positions: None)
+
+    def _fold(block: list[tuple[frozenset | None, Any]]) -> bool:
+        """Fold one enumerated block in serial order; True when
+        *max_extensions* is reached."""
+        nonlocal examined, constraint_checks
+        slot: dict[frozenset, int] = {}
+        candidates = []
+        if other_constraints:
+            for fresh, delta in block:
+                if (fresh is not None and fresh not in extensions
+                        and fresh not in slot):
+                    slot[fresh] = len(candidates)
+                    candidates.append(delta)
+        violating, needs = _check(candidates)
+        for fresh, _ in block:
+            if governor is not None:
+                governor.tick("valuations")
+            examined += 1
+            if fresh is None or fresh in extensions:
+                continue
+            if other_constraints:
+                constraint_checks += 1
+                i = slot[fresh]
+                for relation, positions in needs[i]:
+                    charge(relation, positions)
+                if i in violating:
+                    continue
+            extensions.add(fresh)
+            if (max_extensions is not None
+                    and len(extensions) >= max_extensions):
+                return True
+        return False
+
     governed = (context.governed(governor) if context is not None
                 else nullcontext())
     try:
         with governed, obs_span(obs, "enumerate_valuations"):
+            block: list[tuple[frozenset | None, Any]] = []
             for tableau in tableaux:
                 if not tableau.satisfiable:
                     continue
                 for valuation in iter_valid_valuations(
                         tableau, adom, fresh="own", row_filter=row_filter):
-                    if governor is not None:
-                        governor.tick("valuations")
-                    examined += 1
                     summary = tableau.summary_under(valuation)
                     if summary in answers:
-                        continue
-                    delta = tableau.instantiate(valuation)
-                    # A valuation landing entirely inside D would have
-                    # summary ∈ Q(D); surviving deltas add ≥ 1 fact.
-                    fresh = frozenset(
-                        (name, row) for name, row in delta
-                        if row not in database.relation(name))
-                    if fresh in extensions:
-                        continue
-                    if other_constraints:
-                        constraint_checks += 1
-                        if context is not None:
-                            if not satisfies_all_extension(
-                                    database, delta, master,
-                                    other_constraints, context=context):
-                                continue
-                        else:
-                            candidate = extend_unvalidated(database, delta)
-                            if not satisfies_all(candidate, master,
-                                                 other_constraints):
-                                continue
-                    extensions.add(fresh)
-                    if (max_extensions is not None
-                            and len(extensions) >= max_extensions):
-                        return CountReport(count=len(extensions),
-                                           exhaustive=False,
-                                           statistics=_stats())
+                        block.append((None, None))
+                    else:
+                        delta = tableau.instantiate(valuation)
+                        # A valuation landing entirely inside D would
+                        # have summary ∈ Q(D); surviving deltas add ≥ 1
+                        # fact.
+                        block.append((frozenset(
+                            (name, row) for name, row in delta
+                            if row not in database.relation(name)),
+                            delta))
+                    if len(block) == BLOCK_SIZE:
+                        if _fold(block):
+                            return CountReport(count=len(extensions),
+                                               exhaustive=False,
+                                               statistics=_stats())
+                        block = []
+            if _fold(block):
+                return CountReport(count=len(extensions),
+                                   exhaustive=False, statistics=_stats())
     except ExecutionInterrupted as interrupt:
         report = CountReport(count=len(extensions), exhaustive=False,
                              statistics=_stats(),

@@ -37,7 +37,7 @@ __all__ = [
     "query_to_dict", "query_from_dict",
     "constraint_to_dict", "constraint_from_dict",
     "incomplete_to_dict", "incomplete_from_dict",
-    "dump_bundle", "load_bundle",
+    "dump_bundle", "load_bundle", "check_bundle_shape",
 ]
 
 
@@ -295,6 +295,61 @@ def dump_bundle(path: str, *, schema: DatabaseSchema,
         handle.write("\n")
 
 
+#: The top-level blocks of a bundle, as :func:`dump_bundle` writes them.
+_BUNDLE_KEYS = ("schema", "master_schema", "database", "master", "query",
+               "constraints")
+
+
+def check_bundle_shape(payload: Any, path: str) -> None:
+    """Raise :class:`~repro.errors.BundleError` unless *payload* has the
+    shape :func:`load_bundle` reads: a JSON object with every top-level
+    block :func:`dump_bundle` writes, a query object with its ``text``,
+    and a list of constraint objects each with a query and a
+    projection.  The message names the missing key or the offending
+    constraint's index.
+    """
+    where = f"bundle {path!r}"
+    if not isinstance(payload, dict):
+        raise BundleError(f"{where}: the top level must be a JSON object, "
+                          f"got {type(payload).__name__}")
+    for key in _BUNDLE_KEYS:
+        if key not in payload:
+            raise BundleError(f"{where}: missing required key {key!r}")
+    _check_query_shape(payload["query"], f"{where}: query")
+    constraints = payload["constraints"]
+    if not isinstance(constraints, list):
+        raise BundleError(f"{where}: 'constraints' must be a list, got "
+                          f"{type(constraints).__name__}")
+    for index, entry in enumerate(constraints):
+        here = f"{where}: constraint {index}"
+        if not isinstance(entry, dict):
+            raise BundleError(f"{here} must be a JSON object, got "
+                              f"{type(entry).__name__}")
+        for key in ("query", "projection"):
+            if key not in entry:
+                raise BundleError(f"{here}: missing required key {key!r}")
+        _check_query_shape(entry["query"], f"{here}: query")
+        projection = entry["projection"]
+        if not isinstance(projection, dict) or "relation" not in projection:
+            raise BundleError(f"{here}: the projection must be an object "
+                              f"with a 'relation' key")
+        if projection["relation"] is not None \
+                and "columns" not in projection:
+            raise BundleError(f"{here}: missing required key 'columns' "
+                              f"in the projection")
+
+
+def _check_query_shape(data: Any, where: str) -> None:
+    if not isinstance(data, dict):
+        raise BundleError(f"{where} must be a JSON object, got "
+                          f"{type(data).__name__}")
+    required = ("text", "goal") if data.get("language") == "FP" \
+        else ("text",)
+    for key in required:
+        if key not in data:
+            raise BundleError(f"{where}: missing required key {key!r}")
+
+
 def load_bundle(path: str, *, validate: bool = True,
                 backend: str | None = None) -> dict:
     """Load a bundle written by :func:`dump_bundle`; returns a dict with
@@ -307,7 +362,8 @@ def load_bundle(path: str, *, validate: bool = True,
     loaded instances so the first decision doesn't pay the load cost.
 
     Raises :class:`~repro.errors.BundleError` when *path* cannot be
-    read, is not JSON, or does not hold a JSON object.
+    read, is not JSON, or does not hold a bundle-shaped JSON object
+    (see :func:`check_bundle_shape`).
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -318,9 +374,7 @@ def load_bundle(path: str, *, validate: bool = True,
     except ValueError as error:  # JSONDecodeError, UnicodeDecodeError
         raise BundleError(f"bundle {path!r} is not valid JSON: "
                           f"{error}") from error
-    if not isinstance(payload, dict):
-        raise BundleError(f"bundle {path!r}: the top level must be a JSON "
-                          f"object, got {type(payload).__name__}")
+    check_bundle_shape(payload, path)
     schema = schema_from_dict(payload["schema"])
     master_schema = schema_from_dict(payload["master_schema"])
     database = instance_from_dict(payload["database"], schema,

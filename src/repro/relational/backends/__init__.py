@@ -21,9 +21,16 @@ questions for one (immutable) instance.  Three implementations ship:
 ``sqlite``
     Whole plans lowered to a single SQL statement (pushdown) over an
     in-memory SQLite database bulk-loaded with the interned codes;
-    candidate extensions run inside a savepoint, and containment
-    violation checks push ``LIMIT 1`` into the engine
+    containment violation checks load a whole block of candidate
+    extensions into ``vid``-tagged delta tables and ask one grouped
+    ``SELECT DISTINCT vid`` per delta plan
     (:mod:`repro.relational.backends.sqlite`).
+
+Containment checks come in *block* form
+(:meth:`StorageBackend.plan_violations`): one compiled plan, a list of
+candidate Δs and the allowed rows ``p(Dm)``, answered with the indices
+of the violating candidates.  The one-candidate check
+:meth:`StorageBackend.plan_violates` is that block of one.
 
 Interning is sound because plan comparisons are ``=`` / ``≠`` only
 (:mod:`repro.engine.plan` admits no order comparisons) and the interner
@@ -39,7 +46,7 @@ transient: never pickled, rebuilt on demand in worker processes.  See
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.errors import ReproError
 
@@ -71,6 +78,14 @@ DeltaRows = Mapping[str, Sequence[tuple]]
 #: identical whether or not the storage was pre-warmed.
 OnBuild = Callable[[str, tuple[int, ...]], None]
 
+#: The block form of :data:`OnBuild`: ``(candidate, relation,
+#: positions)`` — a structure that evaluating candidate number
+#: *candidate* of the block requires.  Every candidate reports its own
+#: requirements, so the caller can charge each one where a
+#: candidate-at-a-time loop would have (see
+#: :meth:`StorageBackend.plan_violations`).
+OnBlockBuild = Callable[[int, str, tuple[int, ...]], None]
+
 
 def resolve_backend_name(name: str | None = None) -> str:
     """Normalize a backend choice: explicit name > ``$REPRO_BACKEND`` >
@@ -95,9 +110,10 @@ class StorageBackend:
 
     ``plan_rows`` / ``plan_rows_extended`` return exactly the rows the
     reference evaluator returns — set semantics, decoded to the original
-    Python values.  ``plan_violates`` is the containment-check fast
-    path: it may stop at the first offending answer, but its verdict
-    must equal the full-evaluation subset test.
+    Python values.  ``plan_violations`` is the containment check over a
+    block of candidate extensions: it may stop at the first offending
+    answer of each candidate, but its verdicts must equal the
+    full-evaluation subset test, candidate by candidate.
     """
 
     #: Set by each implementation to its :data:`BACKEND_NAMES` entry.
@@ -120,18 +136,32 @@ class StorageBackend:
         materializing the union instance."""
         raise NotImplementedError
 
+    def plan_violations(self, plan: "CompiledPlan",
+                        deltas: Sequence[DeltaRows],
+                        allowed: frozenset[tuple] | None, *,
+                        on_build: OnBlockBuild | None = None,
+                        ) -> set[int]:
+        """The indices of the candidates ``Δ_v`` in *deltas* for which
+        *plan* over ``instance ∪ Δ_v`` has an answer outside *allowed*
+        (``None`` encodes the empty target ``∅``: any answer at all
+        violates).
+
+        Candidates never see each other's rows.  *on_build* receives,
+        per candidate, every index the check of that candidate requires
+        — exactly what checking it alone would report — so the caller
+        can charge the requirements in candidate order however the
+        block was evaluated.
+        """
+        raise NotImplementedError
+
     def plan_violates(self, plan: "CompiledPlan", delta: DeltaRows,
                       allowed: frozenset[tuple] | None, *,
                       on_build: OnBuild | None = None) -> bool:
-        """True iff *plan* over ``instance ∪ Δ`` has an answer outside
-        *allowed* (``None`` encodes the empty target ``∅``: any answer
-        at all violates).  Default: full evaluation plus a subset test;
-        backends override to early-exit (the SQLite backend pushes
-        ``LIMIT 1`` into the engine)."""
-        rows = self.plan_rows_extended(plan, delta, on_build=on_build)
-        if allowed is None:
-            return bool(rows)
-        return not rows <= allowed
+        """:meth:`plan_violations` for a block of one candidate."""
+        report = None if on_build is None else (
+            lambda _, relation, positions: on_build(relation, positions))
+        return bool(self.plan_violations(plan, [delta], allowed,
+                                         on_build=report))
 
     # -- extension derivation ------------------------------------------
 
@@ -146,6 +176,60 @@ class StorageBackend:
     def __repr__(self) -> str:
         return (f"{type(self).__name__}[{self.kind}, "
                 f"{self.instance.total_tuples} tuple(s)]")
+
+
+def constant_verdict(plan: "CompiledPlan",
+                     allowed: frozenset[tuple] | None) -> bool | None:
+    """The violation verdict of a plan that reads no rows, or ``None``.
+
+    A ground-false plan never answers; an atom-less plan answers its
+    constant head whatever the instance.  Neither requires an index.
+    """
+    if not plan.satisfiable:
+        return False
+    if not plan.steps:
+        return allowed is None or plan_head_constants(plan) not in allowed
+    return None
+
+
+def plan_head_constants(plan: "CompiledPlan") -> tuple:
+    """The single answer row of an atom-less (hence all-constant) plan."""
+    return tuple(term.value for term in plan.head)
+
+
+def project_allowed(head: Sequence[Any], allowed: frozenset[tuple],
+                    intern: Callable[[Any], int],
+                    ) -> set[tuple[int, ...]]:
+    """Project *allowed* rows onto the distinct variables of *head*.
+
+    The result holds, per allowed row consistent with the head's
+    constants and repeated variables, the interned codes of the head
+    variables in first-occurrence order — the shape of an answer's
+    selected columns on an interning backend.  Inconsistent rows can
+    never be produced and are dropped.  For an all-constant head the
+    result is ``{()}`` when some allowed row equals the head (no answer
+    can violate) and empty otherwise (every answer violates).
+    """
+    from repro.queries.terms import Const, Var
+
+    variables = list(dict.fromkeys(
+        term for term in head if isinstance(term, Var)))
+    projected: set[tuple[int, ...]] = set()
+    for row in allowed:
+        if len(row) != len(head):
+            continue
+        cells: dict[Any, int] = {}
+        for term, value in zip(head, row):
+            if isinstance(term, Const):
+                if value != term.value:
+                    break
+            else:
+                code = intern(value)
+                if cells.setdefault(term, code) != code:
+                    break
+        else:
+            projected.add(tuple(cells[v] for v in variables))
+    return projected
 
 
 def create_storage(kind: str, instance: "Instance") -> StorageBackend:

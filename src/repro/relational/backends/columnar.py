@@ -17,16 +17,22 @@ Candidate extensions never rebuild the storage: ``Δ`` rows are interned
 on the fly and probed as a per-relation overlay next to the base index,
 and :meth:`ColumnarStorage.derive` produces the storage of ``D ∪ Δ`` by
 sharing the interner, the unchanged column lists, and the already built
-indexes of unchanged relations.
+indexes of unchanged relations.  A block of candidates runs as one
+batch: each overlay row carries its candidate's index ``vid``, every
+environment carries a tag in slot 0 (base-only, or the one candidate
+whose rows it bound), and a tagged environment joins only its own
+candidate's rows (:meth:`ColumnarStorage.plan_violations`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.queries.atoms import Eq
 from repro.queries.terms import Const, Var
-from repro.relational.backends import DeltaRows, OnBuild, StorageBackend
+from repro.relational.backends import (DeltaRows, OnBlockBuild, OnBuild,
+                                       StorageBackend, constant_verdict,
+                                       project_allowed)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.plan import CompiledPlan, PlanStep
@@ -38,6 +44,9 @@ __all__ = ["ColumnarStorage"]
 #: environment slot, ``(False, value)`` is an interned constant code.
 _FROM_ENV = True
 _CONST = False
+
+#: The candidate tag of an environment that binds base rows only.
+_BASE = -1
 
 
 class _BatchStep:
@@ -59,6 +68,27 @@ class _BatchStep:
         self.width = width
 
 
+class _BatchProgram:
+    """A plan compiled to batch steps, plus what reading its answers
+    needs: the slot of each head term (constants get a dummy slot,
+    never read) and the slots of the distinct head variables in
+    first-occurrence order (the columns an answer is checked on)."""
+
+    __slots__ = ("plan", "steps", "head_slots", "var_slots", "allowed")
+
+    def __init__(self, plan: "CompiledPlan", steps: list[_BatchStep],
+                 slots: dict[Var, int]) -> None:
+        self.plan = plan
+        self.steps = steps
+        self.head_slots = tuple(slots[term] if isinstance(term, Var) else 0
+                                for term in plan.head)
+        self.var_slots = tuple(slots[term] for term in dict.fromkeys(
+            t for t in plan.head if isinstance(t, Var)))
+        #: (allowed rows, their projection onto var_slots) — cached.
+        self.allowed: tuple[frozenset[tuple], set[tuple[int, ...]]] | None \
+            = None
+
+
 class ColumnarStorage(StorageBackend):
     """Per-relation coded row lists with batch (set-at-a-time) joins."""
 
@@ -75,8 +105,7 @@ class ColumnarStorage(StorageBackend):
                 for name, rows in instance}
             self._indexes: dict[tuple[str, tuple[int, ...]],
                                 dict[tuple, list[tuple[int, ...]]]] = {}
-            self._programs: dict[int, tuple["CompiledPlan",
-                                            list[_BatchStep]]] = {}
+            self._programs: dict[int, _BatchProgram] = {}
         # _shared construction is finished by derive().
 
     # -- interning -----------------------------------------------------
@@ -95,14 +124,7 @@ class ColumnarStorage(StorageBackend):
     # -- indexes -------------------------------------------------------
 
     def _index_for(self, relation: str, positions: tuple[int, ...],
-                   on_build: OnBuild | None,
                    ) -> dict[tuple, list[tuple[int, ...]]]:
-        # Charged on every *requirement*, not only on materialization:
-        # storages outlive evaluation contexts (they are cached on the
-        # instance), and a consumer's counters must not depend on who
-        # warmed the storage first.  The context dedupes per instance.
-        if on_build is not None:
-            on_build(relation, positions)
         index = self._indexes.get((relation, positions))
         if index is None:
             index = {}
@@ -118,26 +140,26 @@ class ColumnarStorage(StorageBackend):
 
     # -- batch program compilation ------------------------------------
 
-    def _program(self, plan: "CompiledPlan") -> list[_BatchStep]:
-        cached = self._programs.get(id(plan))
-        if cached is not None and cached[0] is plan:
-            return cached[1]
+    def _program(self, plan: "CompiledPlan") -> _BatchProgram:
+        program = self._programs.get(id(plan))
+        if program is not None and program.plan is plan:
+            return program
         slots: dict[Var, int] = {}
-        steps: list[_BatchStep] = []
-        for step in plan.steps:
-            steps.append(self._compile_step(step, slots))
-        self._programs[id(plan)] = (plan, steps)
-        return steps
+        steps = [self._compile_step(step, slots) for step in plan.steps]
+        program = _BatchProgram(plan, steps, slots)
+        self._programs[id(plan)] = program
+        return program
 
     def _compile_step(self, step: "PlanStep",
                       slots: dict[Var, int]) -> _BatchStep:
+        # Slot 0 of every environment is its candidate tag.
         key_sources = tuple(
             (_CONST, self._intern(term.value)) if isinstance(term, Const)
             else (_FROM_ENV, slots[term])
             for term in step.key_terms)
         out_positions = tuple(position for position, _ in step.outputs)
         for _, variable in step.outputs:
-            slots[variable] = len(slots)
+            slots[variable] = len(slots) + 1
         intra = tuple((position, slots[variable])
                       for position, variable in step.intra_checks)
         comparisons = tuple(
@@ -146,7 +168,8 @@ class ColumnarStorage(StorageBackend):
              self._operand(comparison.right, slots))
             for comparison in step.comparisons)
         return _BatchStep(step.relation, step.key_positions, key_sources,
-                          out_positions, intra, comparisons, len(slots))
+                          out_positions, intra, comparisons,
+                          len(slots) + 1)
 
     def _operand(self, term: Any, slots: dict[Var, int]) -> tuple:
         if isinstance(term, Const):
@@ -155,63 +178,106 @@ class ColumnarStorage(StorageBackend):
 
     # -- execution -----------------------------------------------------
 
-    def _run(self, plan: "CompiledPlan",
-             delta: DeltaRows | None,
-             on_build: OnBuild | None) -> frozenset[tuple]:
-        if not plan.satisfiable:
-            return frozenset()
-        overlay: dict[str, list[tuple[int, ...]]] = {}
-        if delta:
+    def _overlay(self, deltas: Sequence[DeltaRows],
+                 ) -> dict[str, list[tuple[int, tuple[int, ...]]]]:
+        """Every candidate's Δ-rows, interned and tagged with the
+        candidate's index, grouped by relation."""
+        overlay: dict[str, list[tuple[int, tuple[int, ...]]]] = {}
+        for vid, delta in enumerate(deltas):
             for name, rows in delta.items():
-                coded = [self._encode_row(tuple(row)) for row in rows]
-                if coded:
-                    overlay[name] = coded
-        envs: list[tuple[int, ...]] = [()]
-        for bstep in self._program(plan):
-            index = self._index_for(bstep.relation, bstep.key_positions,
-                                    on_build)
-            extra = overlay.get(bstep.relation)
+                if rows:
+                    overlay.setdefault(name, []).extend(
+                        (vid, self._encode_row(tuple(row)))
+                        for row in rows)
+        return overlay
+
+    def _execute(self, program: _BatchProgram,
+                 overlay: dict[str, list[tuple[int, tuple[int, ...]]]],
+                 candidates: int, on_build: OnBlockBuild | None,
+                 ) -> set[tuple[int, ...]]:
+        """The final environments of *program* over ``instance ∪ Δ_v``
+        for every candidate ``v < candidates`` at once.
+
+        Slot 0 tags each environment: :data:`_BASE` while it binds base
+        rows only, ``v`` once it binds a row of candidate ``v``.  A base
+        environment joins every candidate's overlay rows (taking their
+        tag); a tagged one joins only its own candidate's, so Δ-rows
+        never join across candidates, and the base part of the join is
+        computed once for the whole block.  Candidate ``v`` requires a
+        step's index when its own run would reach the step: some base
+        or ``v``-tagged environment survived the steps before.
+        """
+        envs: set[tuple[int, ...]] = {(_BASE,)}
+        for bstep in program.steps:
+            if on_build is not None:
+                tags = {env[0] for env in envs}
+                for vid in (range(candidates) if _BASE in tags
+                            else sorted(tags)):
+                    on_build(vid, bstep.relation, bstep.key_positions)
+            index = self._index_for(bstep.relation, bstep.key_positions)
+            tagged = self._tagged_index(overlay.get(bstep.relation),
+                                        bstep.key_positions)
+            key_sources = bstep.key_sources
+            out_positions = bstep.out_positions
+            intra = bstep.intra
+            comparisons = bstep.comparisons
             next_envs: set[tuple[int, ...]] = set()
             for env in envs:
                 key = tuple(code if tag is _CONST else env[code]
-                            for tag, code in bstep.key_sources)
-                rows = index.get(key, _NO_ROWS)
-                if extra is not None:
-                    matching = [row for row in extra
-                                if tuple(row[p]
-                                         for p in bstep.key_positions)
-                                == key]
-                    if matching:
-                        rows = rows + matching
-                for row in rows:
-                    ext = env + tuple(row[p] for p in bstep.out_positions)
-                    if any(row[p] != ext[s] for p, s in bstep.intra):
-                        continue
-                    if not self._comparisons_hold(bstep, ext):
-                        continue
-                    next_envs.add(ext)
+                            for tag, code in key_sources)
+                matches = [(env, index.get(key, _NO_ROWS))]
+                by_vid = tagged.get(key) if tagged else None
+                if by_vid:
+                    if env[0] == _BASE:
+                        rest = env[1:]
+                        matches.extend(((vid,) + rest, rows)
+                                       for vid, rows in by_vid.items())
+                    elif env[0] in by_vid:
+                        matches.append((env, by_vid[env[0]]))
+                for source, rows in matches:
+                    for row in rows:
+                        ext = source + tuple(row[p] for p in out_positions)
+                        if any(row[p] != ext[s] for p, s in intra):
+                            continue
+                        if comparisons and not self._comparisons_hold(
+                                bstep, ext):
+                            continue
+                        next_envs.add(ext)
             if not next_envs:
-                return frozenset()
-            envs = list(next_envs)
-        head = plan.head
-        if not head:
-            return _TRUE
+                return next_envs
+            envs = next_envs
+        return envs
+
+    @staticmethod
+    def _tagged_index(tagged: list[tuple[int, tuple[int, ...]]] | None,
+                      positions: tuple[int, ...],
+                      ) -> dict[tuple, dict[int, list[tuple[int, ...]]]]:
+        """Tagged overlay rows grouped by key, then by candidate."""
+        index: dict[tuple, dict[int, list[tuple[int, ...]]]] = {}
+        for vid, row in tagged or ():
+            index.setdefault(tuple(row[p] for p in positions), {}) \
+                .setdefault(vid, []).append(row)
+        return index
+
+    def _decode(self, program: _BatchProgram,
+                envs: set[tuple[int, ...]]) -> frozenset[tuple]:
         values = self._values
+        head = program.plan.head
+        slots = program.head_slots
         return frozenset(
             tuple(term.value if isinstance(term, Const)
                   else values[env[slot]]
-                  for term, slot in zip(head, self._head_slots(plan)))
+                  for term, slot in zip(head, slots))
             for env in envs)
 
-    def _head_slots(self, plan: "CompiledPlan") -> tuple[int, ...]:
-        # Recompute the slot of each head variable from the program's
-        # binding order (constants get a dummy slot, never read).
-        slots: dict[Var, int] = {}
-        for step in plan.steps:
-            for _, variable in step.outputs:
-                slots[variable] = len(slots)
-        return tuple(slots[term] if isinstance(term, Var) else 0
-                     for term in plan.head)
+    def _projected(self, program: _BatchProgram,
+                   allowed: frozenset[tuple]) -> set[tuple[int, ...]]:
+        cached = program.allowed
+        if cached is None or cached[0] is not allowed:
+            cached = (allowed, project_allowed(program.plan.head, allowed,
+                                               self._intern))
+            program.allowed = cached
+        return cached[1]
 
     @staticmethod
     def _comparisons_hold(bstep: _BatchStep,
@@ -227,12 +293,42 @@ class ColumnarStorage(StorageBackend):
 
     def plan_rows(self, plan: "CompiledPlan", *,
                   on_build: OnBuild | None = None) -> frozenset[tuple]:
-        return self._run(plan, None, on_build)
+        return self.plan_rows_extended(plan, {}, on_build=on_build)
 
     def plan_rows_extended(self, plan: "CompiledPlan", delta: DeltaRows, *,
                            on_build: OnBuild | None = None,
                            ) -> frozenset[tuple]:
-        return self._run(plan, delta, on_build)
+        if not plan.satisfiable:
+            return frozenset()
+        program = self._program(plan)
+        report = None if on_build is None else (
+            lambda _, relation, positions: on_build(relation, positions))
+        envs = self._execute(program, self._overlay([delta]), 1, report)
+        return self._decode(program, envs)
+
+    def plan_violations(self, plan: "CompiledPlan",
+                        deltas: Sequence[DeltaRows],
+                        allowed: frozenset[tuple] | None, *,
+                        on_build: OnBlockBuild | None = None,
+                        ) -> set[int]:
+        verdict = constant_verdict(plan, allowed)
+        if verdict is not None:
+            return set(range(len(deltas))) if verdict else set()
+        program = self._program(plan)
+        envs = self._execute(program, self._overlay(deltas), len(deltas),
+                             on_build)
+        projected = (None if allowed is None
+                     else self._projected(program, allowed))
+        var_slots = program.var_slots
+        violating: set[int] = set()
+        for env in envs:
+            if projected is not None and tuple(
+                    env[s] for s in var_slots) in projected:
+                continue
+            if env[0] == _BASE:  # Q(D) itself escapes: every Δ violates
+                return set(range(len(deltas)))
+            violating.add(env[0])
+        return violating
 
     def derive(self, extended: "Instance",
                new_rows: DeltaRows) -> "ColumnarStorage":
@@ -259,4 +355,3 @@ class ColumnarStorage(StorageBackend):
 
 
 _NO_ROWS: list[tuple[int, ...]] = []
-_TRUE = frozenset({()})

@@ -8,14 +8,19 @@ fact is present.  Compiled plans lower to single ``SELECT`` statements
 (:mod:`repro.engine.sql`), so a join that the Python executor walks
 row by row runs entirely inside SQLite's bytecode VM.
 
-Candidate extensions ``D ∪ Δ`` never copy the database: Δ-rows are
-inserted under a ``SAVEPOINT`` and rolled back after the query.  The
-containment-check fast path :meth:`SQLiteStorage.plan_violates` is
-where the pushdown pays off most — an at-most-``k`` constraint (empty
-target) becomes ``SELECT 1 … LIMIT 1``, and a general target pushes the
-allowed answers into a ``NOT IN (VALUES …)`` filter, so the engine
-stops at the first violating answer instead of materializing the full
-answer set.
+Candidate extensions ``D ∪ Δ`` never copy the database.  The
+containment check :meth:`SQLiteStorage.plan_violations` takes a whole
+block of candidates: their Δ-rows go, tagged with the candidate's index
+``vid``, into one *delta table* per touched relation (one
+``executemany`` each), and one ``SELECT DISTINCT vid`` per delta
+statement (:meth:`~repro.engine.sql.LoweredPlan.sql_delta`) names the
+violating candidates; a ``DELETE`` per table clears the block.  An
+at-most-``k`` constraint (empty target) needs no filter; a general
+target pushes the allowed answers into a ``NOT IN (VALUES …)`` filter.
+The filter, the plan's parameters and the verdict on the base instance
+alone are computed once per (plan, allowed rows), not per block.
+``plan_rows_extended`` evaluates one Δ inside a ``SAVEPOINT`` that is
+rolled back afterwards.
 
 SQL indexes are created lazily per ``(relation, key positions)`` pair
 actually probed, reported through *on_build* exactly like the hash
@@ -25,10 +30,13 @@ indexes of the reference backend.
 from __future__ import annotations
 
 import sqlite3
-from typing import TYPE_CHECKING, Any
+from itertools import combinations
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.engine.sql import LoweredPlan, lower_plan
-from repro.relational.backends import DeltaRows, OnBuild, StorageBackend
+from repro.relational.backends import (DeltaRows, OnBlockBuild, OnBuild,
+                                       StorageBackend, constant_verdict,
+                                       plan_head_constants, project_allowed)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.plan import CompiledPlan
@@ -37,9 +45,37 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["SQLiteStorage"]
 
 #: Above this many allowed rows the ``NOT IN (VALUES …)`` filter is
-#: abandoned for a full evaluation + subset test in Python (giant
-#: parameter lists cost more than they save).
+#: abandoned: the statements select the head columns too and the subset
+#: test runs in Python (giant parameter lists cost more than they save).
 _ALLOWED_CAP = 500
+
+
+class _ViolationCheck:
+    """The part of a containment check fixed by (plan, allowed rows).
+
+    ``never``: no answer can violate (an all-constant head that
+    *allowed* covers).  ``extra`` / ``params``: the pushed ``NOT IN``
+    filter (empty when there is none) and every statement parameter,
+    encoded.  ``projected``: the allowed head columns the caller tests
+    against when the filter is not pushed (above :data:`_ALLOWED_CAP`),
+    else ``None``.  ``base_violates``: whether ``Q(D)`` alone escapes,
+    decided on first use.  ``statements``: the delta statements per set
+    of touched relations.
+    """
+
+    __slots__ = ("plan", "allowed", "never", "extra", "params",
+                 "projected", "base_violates", "statements")
+
+    def __init__(self, plan: "CompiledPlan",
+                 allowed: frozenset[tuple] | None) -> None:
+        self.plan = plan
+        self.allowed = allowed
+        self.never = False
+        self.extra = ""
+        self.params: list[int] = []
+        self.projected: set[tuple[int, ...]] | None = None
+        self.base_violates: bool | None = None
+        self.statements: dict[frozenset[str], list[str]] = {}
 
 
 class SQLiteStorage(StorageBackend):
@@ -54,8 +90,10 @@ class SQLiteStorage(StorageBackend):
         self._values: list[Any] = []
         self._lowered_plans: dict[int, tuple["CompiledPlan",
                                              LoweredPlan]] = {}
+        self._checks: dict[int, _ViolationCheck] = {}
         self._sql_indexes: set[tuple[str, tuple[int, ...]]] = set()
         self._table_of: dict[str, str] = {}
+        self._delta_table_of: dict[str, str] = {}
         self._connection = sqlite3.connect(
             ":memory:", check_same_thread=False)
         self._load(instance)
@@ -80,6 +118,8 @@ class SQLiteStorage(StorageBackend):
             width = max(instance.schema.relation(name).arity, 1)
             columns = ", ".join(f"c{j} INTEGER" for j in range(width))
             cursor.execute(f"CREATE TABLE {table} ({columns})")
+            self._delta_table_of[table] = f"d{i}"
+            cursor.execute(f"CREATE TABLE d{i} (vid INTEGER, {columns})")
             rows = instance.relation(name)
             if not rows:
                 continue
@@ -191,86 +231,121 @@ class SQLiteStorage(StorageBackend):
             connection.execute("ROLLBACK TO delta")
             connection.execute("RELEASE delta")
 
-    def plan_violates(self, plan: "CompiledPlan", delta: DeltaRows,
-                      allowed: frozenset[tuple] | None, *,
-                      on_build: OnBuild | None = None) -> bool:
-        if not plan.satisfiable:
-            return False
-        if not plan.steps:
-            head = plan_head_constants(plan)
-            return allowed is None or head not in allowed
+    def plan_violations(self, plan: "CompiledPlan",
+                        deltas: Sequence[DeltaRows],
+                        allowed: frozenset[tuple] | None, *,
+                        on_build: OnBlockBuild | None = None,
+                        ) -> set[int]:
+        verdict = constant_verdict(plan, allowed)
+        if verdict is not None:
+            return set(range(len(deltas))) if verdict else set()
         lowered = self._lowered(plan)
-        if allowed is None:
-            extra, extra_params = "", []
-        else:
-            if len(allowed) > _ALLOWED_CAP:
-                rows = self.plan_rows_extended(plan, delta,
-                                               on_build=on_build)
-                return not rows <= allowed
-            projected = self._project_allowed(lowered, allowed)
-            if projected is None:
-                # All-constant head covered by *allowed*: the answer
-                # set is ⊆ {head} ⊆ allowed, no violation possible.
-                return False
-            if not lowered.select_cols:
-                extra, extra_params = "", []
-            else:
-                extra, extra_params = _not_in_filter(
-                    lowered.select_cols, projected)
-        self._ensure_indexes(plan, on_build)
-        params = self._encode_params(lowered.params) + extra_params
-        sql = lowered.sql_exists(extra)
-        connection = self._connection
-        if not delta:
-            return connection.execute(sql, params).fetchone() is not None
-        connection.execute("SAVEPOINT delta")
+        check = self._violation_check(plan, lowered, allowed)
+        if check.never or not deltas:
+            return set()
+
+        def require(relation: str, positions: tuple[int, ...]) -> None:
+            # Every candidate's own check needs the plan's indexes.
+            for vid in range(len(deltas)):
+                on_build(vid, relation, positions)  # type: ignore[misc]
+
+        self._ensure_indexes(plan, None if on_build is None else require)
+        if check.base_violates is None:
+            check.base_violates = self._base_violates(check, lowered)
+        if check.base_violates:
+            return set(range(len(deltas)))
+        touched = self._load_block(deltas)
+        if not touched:
+            return set()
+        violating: set[int] = set()
         try:
-            self._insert_delta(delta)
-            return connection.execute(sql, params).fetchone() is not None
-        finally:
-            connection.execute("ROLLBACK TO delta")
-            connection.execute("RELEASE delta")
-
-    def _project_allowed(self, lowered: LoweredPlan,
-                         allowed: frozenset[tuple],
-                         ) -> list[tuple[int, ...]] | None:
-        """Project *allowed* rows onto the selected head columns.
-
-        Rows inconsistent with the head's constants or repeated
-        variables can never be produced and are dropped.  Returns
-        ``None`` when the head selects no columns but some allowed row
-        matches the constant head — i.e. no violation is possible.
-        """
-        pattern = lowered.head_pattern
-        width = len(lowered.select_cols)
-        projected: set[tuple[int, ...]] = set()
-        matched_constant_head = False
-        for row in allowed:
-            if len(row) != len(pattern):
-                continue
-            cells: list[int | None] = [None] * width
-            ok = True
-            for (tag, value), cell in zip(pattern, row):
-                if tag == "const":
-                    if cell != value:
-                        ok = False
-                        break
+            for sql in self._delta_statements(check, lowered, touched):
+                cursor = self._connection.execute(sql, check.params)
+                if check.projected is None:
+                    violating.update(vid for vid, in cursor)
                 else:
-                    code = self._intern(cell)
-                    if cells[value] is None:
-                        cells[value] = code
-                    elif cells[value] != code:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            if width == 0:
-                matched_constant_head = True
-                break
-            projected.add(tuple(cells))  # type: ignore[arg-type]
-        if width == 0 and matched_constant_head:
-            return None
-        return sorted(projected)
+                    violating.update(row[0] for row in cursor
+                                     if row[1:] not in check.projected)
+        finally:
+            for table in touched.values():
+                self._connection.execute(f"DELETE FROM {table}")
+            self._connection.commit()
+        return violating
+
+    def _violation_check(self, plan: "CompiledPlan", lowered: LoweredPlan,
+                         allowed: frozenset[tuple] | None,
+                         ) -> _ViolationCheck:
+        check = self._checks.get(id(plan))
+        if check is not None and check.plan is plan \
+                and check.allowed is allowed:
+            return check
+        check = _ViolationCheck(plan, allowed)
+        filter_params: list[int] = []
+        if allowed is not None:
+            projected = project_allowed(plan.head, allowed, self._intern)
+            if len(allowed) > _ALLOWED_CAP:
+                check.projected = projected
+            elif not lowered.select_cols:
+                # All-constant head: covered by *allowed* (no answer can
+                # violate) or not (every answer violates, no filter).
+                check.never = bool(projected)
+            else:
+                check.extra, filter_params = _not_in_filter(
+                    lowered.select_cols, sorted(projected))
+        check.params = self._encode_params(lowered.params) + filter_params
+        self._checks[id(plan)] = check
+        return check
+
+    def _base_violates(self, check: _ViolationCheck,
+                       lowered: LoweredPlan) -> bool:
+        """Whether ``Q(D)`` alone has an answer outside the allowed
+        rows — then every candidate violates."""
+        if check.projected is None:
+            return self._connection.execute(
+                lowered.sql_exists(check.extra),
+                check.params).fetchone() is not None
+        width = len(lowered.select_cols)
+        return any(tuple(row)[:width] not in check.projected
+                   for row in self._connection.execute(
+                       lowered.sql_rows(), check.params))
+
+    def _load_block(self, deltas: Sequence[DeltaRows]) -> dict[str, str]:
+        """Insert every candidate's Δ-rows, tagged with its index, into
+        the delta tables; return the loaded tables by relation."""
+        tagged: dict[str, list[tuple[int, ...]]] = {}
+        for vid, delta in enumerate(deltas):
+            for name, rows in delta.items():
+                if rows:
+                    tagged.setdefault(name, []).extend(
+                        (vid,) + self._encode_row(tuple(row))
+                        for row in rows)
+        touched: dict[str, str] = {}
+        for name, rows in tagged.items():
+            table = self._delta_table_of[self._table_of[name]]
+            placeholders = ", ".join("?" * len(rows[0]))
+            self._connection.executemany(
+                f"INSERT INTO {table} VALUES ({placeholders})", rows)
+            touched[name] = table
+        return touched
+
+    def _delta_statements(self, check: _ViolationCheck,
+                          lowered: LoweredPlan,
+                          touched: dict[str, str]) -> list[str]:
+        """One statement per non-empty set of steps over touched
+        relations (the semi-naive partition, expanded)."""
+        key = frozenset(touched)
+        statements = check.statements.get(key)
+        if statements is None:
+            steps = [i for i, step in enumerate(check.plan.steps)
+                     if step.relation in key]
+            statements = [
+                lowered.sql_delta(chosen, self._delta_table_of,
+                                  check.extra,
+                                  columns=check.projected is not None)
+                for size in range(1, len(steps) + 1)
+                for chosen in combinations(steps, size)]
+            check.statements[key] = statements
+        return statements
 
 
 def _not_in_filter(select_cols: tuple[str, ...],
@@ -288,8 +363,3 @@ def _not_in_filter(select_cols: tuple[str, ...],
     values = ", ".join(row_ph for _ in projected)
     cols = "(" + ", ".join(select_cols) + ")"
     return f"{cols} NOT IN (VALUES {values})", params
-
-
-def plan_head_constants(plan: "CompiledPlan") -> tuple:
-    """The single answer row of an atom-less (hence all-constant) plan."""
-    return tuple(term.value for term in plan.head)

@@ -109,6 +109,38 @@ class TestErrors:
         assert lines[0].startswith("error: ") and message in lines[0]
 
 
+    @pytest.mark.parametrize("command", ["decide", "lint"])
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda payload: payload.pop("query"),
+         "missing required key 'query'"),
+        (lambda payload: payload["constraints"].append({"bogus": 1}),
+         "constraint 1: missing required key 'query'"),
+        (lambda payload: payload["constraints"][0].pop("projection"),
+         "constraint 0: missing required key 'projection'"),
+        (lambda payload: payload.update(constraints={}),
+         "'constraints' must be a list"),
+    ], ids=["no-query", "bogus-constraint", "no-projection",
+            "constraints-not-a-list"])
+    def test_malformed_bundle_exits_two(self, bundle_path, capsys, command,
+                                        mutate, message):
+        # A crash must not look like a verdict (decide's 1 = INCOMPLETE)
+        # nor like a clean lint (0).
+        import json
+
+        path = bundle_path([("e0", "c1")])
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+        mutate(payload)
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+        assert main([command, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and message in lines[0]
+
+
 class TestAuditCommand:
     def test_trustworthy_exit_zero(self, bundle_path, capsys):
         path = bundle_path({("e0", "c1"), ("e0", "c2")})
