@@ -279,5 +279,7 @@ def lint_path(path: str, *, deep: bool = True, flow: bool = True) -> Report:
     if not isinstance(payload, dict) or "schema" not in payload:
         raise QueryError(f"{path} is not a scenario bundle "
                          f"(no 'schema' block)")
-    check_bundle_shape(payload, path)
+    # The data blocks are optional here: lint_bundle lints without them.
+    check_bundle_shape(payload, path,
+                       required=("schema", "master_schema", "query"))
     return lint_bundle(payload, deep=deep, flow=flow)

@@ -376,8 +376,9 @@ class EvaluationContext:
 
         For the engine languages this is the check of
         :meth:`extension_violations` on a block of one candidate, with
-        every index it needs charged on the spot.  A Δ adding nothing new reduces to the
-        cached ``Q(base)``; non-engine languages evaluate the union.
+        every index it needs charged on the spot.  A Δ adding nothing
+        new reduces to the cached ``Q(base)``; non-engine languages
+        evaluate the union.
         """
         if getattr(query, "language", None) in ENGINE_LANGUAGES:
             new_rows = self.new_rows(base, delta_facts)
@@ -395,15 +396,15 @@ class EvaluationContext:
             return False
         return answers <= self.projection_rows(projection, master)
 
-    def extension_violations(self, constraints: Sequence[Any],
-                             base: Instance,
-                             candidates: Sequence["DeltaRows"],
-                             master: Instance, *,
-                             on_build: "OnBlockBuild | None" = None,
-                             ) -> set[int]:
-        """The indices of the *candidates* Δ for which ``(base ∪ Δ,
-        master)`` violates some of the containment *constraints* — the
-        constraint check over a block.
+    def extension_violations(
+            self, constraints: Sequence[Any], base: Instance,
+            candidates: Sequence["DeltaRows"], master: Instance, *,
+            on_build: Callable[[int, int, str, tuple[int, ...]], None]
+            | None = None) -> dict[int, int]:
+        """The candidates Δ (by index in *candidates*) for which ``(base
+        ∪ Δ, master)`` violates some of the containment *constraints* —
+        the constraint check over a block — each mapped to the index of
+        the first constraint it violates.
 
         Each constraint's query must be in :data:`ENGINE_LANGUAGES`;
         each candidate is a Δ grouped by relation and pre-filtered
@@ -412,40 +413,35 @@ class EvaluationContext:
         storage checks the candidates not yet found violating
         (:meth:`~repro.relational.backends.StorageBackend
         .plan_violations`), so a candidate's checks stop at its first
-        violation, as one at a time.  *on_build* receives each
-        candidate's index requirements, to be charged (through
-        :meth:`build_charger`) where a candidate-at-a-time loop would
-        have charged them; nothing is charged here.
+        violation, as one at a time.  *on_build* receives ``(candidate,
+        constraint index, relation, positions)`` for each index a
+        candidate's check of a constraint requires.  Nothing is charged
+        or counted here: the caller charges the requirements (through
+        :meth:`build_charger`) and counts a ``delta_evaluations`` per
+        constraint a candidate was checked against, where a
+        candidate-at-a-time loop would have.
         """
-        return self._violations(
-            [self._prepared_check(c.query, base, c.projection, master)
-             for c in constraints], candidates, on_build)
-
-    def _violations(self, checks: Sequence["_PreparedCheck"],
-                    candidates: Sequence["DeltaRows"],
-                    on_build: "OnBlockBuild | None") -> set[int]:
-        violating: set[int] = set()
-        for check in checks:
-            self.statistics.delta_evaluations += (len(candidates)
-                                                  - len(violating))
+        first: dict[int, int] = {}
+        alive = list(range(len(candidates)))
+        for index, constraint in enumerate(constraints):
+            check = self._prepared_check(constraint.query, base,
+                                         constraint.projection, master)
             for plan in check.plans:
-                if not violating:  # every candidate is still in
-                    found = check.storage.plan_violations(
-                        plan, candidates, check.allowed,
-                        on_build=on_build)
-                else:
-                    alive = [i for i in range(len(candidates))
-                             if i not in violating]
-                    if not alive:
-                        return violating
-                    report = None if on_build is None else (
-                        lambda k, relation, positions, alive=alive:
-                        on_build(alive[k], relation, positions))
-                    found = {alive[k] for k in check.storage.plan_violations(
-                        plan, [candidates[i] for i in alive],
-                        check.allowed, on_build=report)}
-                violating |= found
-        return violating
+                if not alive:
+                    return first
+                report = None if on_build is None else (
+                    lambda k, relation, positions, alive=alive,
+                    index=index: on_build(alive[k], index, relation,
+                                          positions))
+                found = check.storage.plan_violations(
+                    plan, [candidates[i] for i in alive], check.allowed,
+                    on_build=report)
+                if found:
+                    for k in found:
+                        first[alive[k]] = index
+                    alive = [i for k, i in enumerate(alive)
+                             if k not in found]
+        return first
 
     def _prepared_check(self, query: Any, base: Instance, projection: Any,
                         master: Instance) -> "_PreparedCheck":

@@ -22,15 +22,17 @@ Lowering rules (see ``docs/BACKENDS.md``):
   head selects nothing and callers probe with ``EXISTS``-style
   ``SELECT 1 … LIMIT 1``.
 
-A block of candidate extensions is checked over ``vid``-tagged *delta
-tables* (one per relation: a ``vid`` column, then the relation's
-columns) by :meth:`LoweredPlan.sql_delta`: the steps of a chosen
-non-empty set range over the delta tables, all on the same ``vid`` as
-the first of them, the other steps over the base tables.  One statement
-per non-empty set of steps over the relations the block touches is the
-semi-naive partition with each later atom's ``D ∪ Δ_v`` split into its
-two halves, so every binding that uses a Δ-row is found exactly once
-and never mixes two candidates' rows.
+A block of candidate extensions is checked with the block's Δ-rows in
+the tables too.  Every table carries a ``vid`` column: ``-1`` on the
+base rows, the candidate's index on a Δ-row (which also goes into the
+relation's *delta table*).  :meth:`LoweredPlan.sql_delta` is the
+semi-naive delta plan of one step ``j``: step ``j`` ranges over the
+delta table, earlier steps over the base rows (``vid = -1``), later
+steps over the base rows and the rows of step ``j``'s own candidate
+(``vid IN (-1, s{j}.vid)``), so every binding that uses a Δ-row is
+found by the statement of its first Δ-step and none mixes two
+candidates' rows.  A correlated ``EXISTS`` per candidate stops at its
+first binding, as ``LIMIT 1`` does for one candidate.
 
 Constants stay *raw* in :attr:`LoweredPlan.params`: tables hold interned
 codes, and only the storage owns the interner, so it encodes the
@@ -83,27 +85,33 @@ class LoweredPlan:
         conjuncts = self.where + ((extra,) if extra else ())
         return f"SELECT 1 {_clause(self._from(), conjuncts)} LIMIT 1"
 
-    def sql_delta(self, delta_steps: Sequence[int],
-                  delta_table_of: Mapping[str, str], extra: str = "",
+    def sql_delta(self, step: int, tagged: Sequence[int],
+                  delta_table: str, extra: str = "",
                   columns: bool = False) -> str:
-        """``SELECT DISTINCT vid`` of the bindings whose *delta_steps*
-        (non-empty, ascending) all range over the same candidate's rows
-        in the delta tables and whose other steps range over the base.
-        *extra* is an additional conjunct; *columns* also selects the
-        head columns (for a violation test done by the caller)."""
-        first = delta_steps[0]
-        tagged = set(delta_steps)
+        """The candidates (``vid``) with a binding whose step *step*
+        ranges over their own rows in *delta_table*.  *tagged* are the
+        steps whose tables hold Δ-rows of the block (with *step*):
+        earlier ones read only base rows, later ones base rows and the
+        same candidate's.  *extra* is an additional conjunct.  By
+        default one ``EXISTS`` probe per candidate; with *columns*, the
+        distinct ``vid`` and head columns of every binding (for a
+        violation test done by the caller)."""
         tables = ", ".join(
-            f"{delta_table_of[table] if i in tagged else table} AS s{i}"
+            f"{delta_table if i == step else table} AS s{i}"
             for i, table in enumerate(self.tables))
+        vid = f"s{step}.vid"
         conjuncts = self.where + tuple(
-            f"s{i}.vid = s{first}.vid" for i in delta_steps[1:])
+            f"s{i}.vid = -1" if i < step else f"s{i}.vid IN (-1, {vid})"
+            for i in tagged if i != step)
         if extra:
             conjuncts += (extra,)
-        selected = (f"s{first}.vid",) + (self.select_cols if columns
-                                           else ())
-        return (f"SELECT DISTINCT {', '.join(selected)} "
-                f"{_clause('FROM ' + tables, conjuncts)}")
+        if columns:
+            selected = ", ".join((vid,) + self.select_cols)
+            return (f"SELECT DISTINCT {selected} "
+                    f"{_clause('FROM ' + tables, conjuncts)}")
+        probe = _clause("FROM " + tables, (f"{vid} = v.vid",) + conjuncts)
+        return (f"SELECT v.vid FROM (SELECT DISTINCT vid FROM "
+                f"{delta_table}) AS v WHERE EXISTS (SELECT 1 {probe})")
 
     def _from(self) -> str:
         return "FROM " + ", ".join(f"{table} AS s{i}"

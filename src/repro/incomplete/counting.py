@@ -27,10 +27,11 @@ call per constraint, and the results are then folded in enumeration
 order.  The fold charges the governor exactly where the
 candidate-at-a-time loop did — a ``valuations`` tick per valuation, and
 each index a check requires at the first candidate whose check required
-it — so counts, statistics and per-kind ticks are the same for every
-budget and ``max_extensions``.  A deadline or cancellation is noticed
-at a valuation's tick, which comes after its whole block was checked,
-so up to one block of work can run past it.
+it — and counts a ``delta_evaluations`` per constraint each candidate
+was checked against, so counts, search statistics and per-kind ticks
+are the same for every budget and ``max_extensions``.  A deadline or
+cancellation is noticed at a valuation's tick, which comes after its
+whole block was checked, so up to one block of work can run past it.
 """
 
 from __future__ import annotations
@@ -180,28 +181,42 @@ def count_completing_extensions(
         return stats
 
     def _check(candidates: list[list[tuple[str, tuple]]],
-               ) -> tuple[set[int], list[list[_Requirement]]]:
-        """The candidate Δs violating some non-IND constraint, and the
-        index requirements of each candidate's checks in the order a
+               ) -> tuple[dict[int, int], list[list[list[_Requirement]]]]:
+        """The candidate Δs violating some non-IND constraint, each with
+        the index of the first one it violates, and per candidate and
+        constraint the index requirements of its check in the order a
         one-at-a-time check meets them."""
-        needs: list[list[_Requirement]] = [[] for _ in candidates]
+        needs: list[list[list[_Requirement]]] = [
+            [[] for _ in other_constraints] for _ in candidates]
         if context is None:
-            return {i for i, delta in enumerate(candidates)
+            return {i: 0 for i, delta in enumerate(candidates)
                     if not satisfies_all(extend_unvalidated(database, delta),
                                          master, other_constraints)}, needs
 
-        def record(vid: int, relation: str,
+        def record(vid: int, index: int, relation: str,
                    positions: tuple[int, ...]) -> None:
-            needs[vid].append((relation, positions))
+            needs[vid][index].append((relation, positions))
 
         return context.extension_violations(
             other_constraints, database,
             [context.new_rows(database, delta) for delta in candidates],
             master, on_build=record), needs
 
-    # Without a context there is nothing to charge (no requirements).
+    # Without a context there is nothing to charge.
+    engine = context.statistics if context is not None else None
     charge = (context.build_charger(database) if context is not None
-              else lambda relation, positions: None)
+              else None)
+
+    def _charge(needs: list[list[_Requirement]], last: int) -> None:
+        """Charge one candidate's check of constraints 0 … *last* as a
+        one-at-a-time check does: per constraint, a delta evaluation,
+        then the indexes it requires."""
+        if engine is None or charge is None:
+            return
+        for requirements in needs[:last + 1]:
+            engine.delta_evaluations += 1
+            for relation, positions in requirements:
+                charge(relation, positions)
 
     def _fold(block: list[tuple[frozenset | None, Any]]) -> bool:
         """Fold one enumerated block in serial order; True when
@@ -225,8 +240,7 @@ def count_completing_extensions(
             if other_constraints:
                 constraint_checks += 1
                 i = slot[fresh]
-                for relation, positions in needs[i]:
-                    charge(relation, positions)
+                _charge(needs[i], violating.get(i, len(needs[i]) - 1))
                 if i in violating:
                     continue
             extensions.add(fresh)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 from repro.constraints.containment import (ContainmentConstraint,
                                            Projection)
@@ -300,23 +300,26 @@ _BUNDLE_KEYS = ("schema", "master_schema", "database", "master", "query",
                "constraints")
 
 
-def check_bundle_shape(payload: Any, path: str) -> None:
-    """Raise :class:`~repro.errors.BundleError` unless *payload* has the
-    shape :func:`load_bundle` reads: a JSON object with every top-level
-    block :func:`dump_bundle` writes, a query object with its ``text``,
-    and a list of constraint objects each with a query and a
-    projection.  The message names the missing key or the offending
-    constraint's index.
+def check_bundle_shape(payload: Any, path: str,
+                       required: Sequence[str] = _BUNDLE_KEYS) -> None:
+    """Raise :class:`~repro.errors.BundleError` unless *payload* is a
+    JSON object with every top-level block in *required* (by default
+    all that :func:`dump_bundle` writes, as :func:`load_bundle` reads
+    them), a query object with its ``text`` when it has a query, and a
+    list of constraint objects, each with a query and a projection,
+    when it has constraints.  The message names the missing key or the
+    offending constraint's index.
     """
     where = f"bundle {path!r}"
     if not isinstance(payload, dict):
         raise BundleError(f"{where}: the top level must be a JSON object, "
                           f"got {type(payload).__name__}")
-    for key in _BUNDLE_KEYS:
+    for key in required:
         if key not in payload:
             raise BundleError(f"{where}: missing required key {key!r}")
-    _check_query_shape(payload["query"], f"{where}: query")
-    constraints = payload["constraints"]
+    if "query" in payload:
+        _check_query_shape(payload["query"], f"{where}: query")
+    constraints = payload.get("constraints", [])
     if not isinstance(constraints, list):
         raise BundleError(f"{where}: 'constraints' must be a list, got "
                           f"{type(constraints).__name__}")

@@ -11,14 +11,17 @@ row by row runs entirely inside SQLite's bytecode VM.
 Candidate extensions ``D ∪ Δ`` never copy the database.  The
 containment check :meth:`SQLiteStorage.plan_violations` takes a whole
 block of candidates: their Δ-rows go, tagged with the candidate's index
-``vid``, into one *delta table* per touched relation (one
-``executemany`` each), and one ``SELECT DISTINCT vid`` per delta
-statement (:meth:`~repro.engine.sql.LoweredPlan.sql_delta`) names the
-violating candidates; a ``DELETE`` per table clears the block.  An
-at-most-``k`` constraint (empty target) needs no filter; a general
-target pushes the allowed answers into a ``NOT IN (VALUES …)`` filter.
-The filter, the plan's parameters and the verdict on the base instance
-alone are computed once per (plan, allowed rows), not per block.
+``vid`` (base rows carry ``-1``), into the relation's table and its
+*delta table* (one ``executemany`` each).  One statement per plan step
+over a touched relation — the semi-naive delta plan of that step
+(:meth:`~repro.engine.sql.LoweredPlan.sql_delta`) — probes each
+candidate with a correlated ``EXISTS`` and names the violating ones;
+the statements stop once every candidate violates, and a ``DELETE`` per
+table clears the block.  An at-most-``k`` constraint (empty target)
+needs no filter; a general target pushes the allowed answers into a
+``NOT IN (VALUES …)`` filter.  The filter, the plan's parameters and
+the verdict on the base instance alone are computed once per (plan,
+allowed rows), not per block.
 ``plan_rows_extended`` evaluates one Δ inside a ``SAVEPOINT`` that is
 rolled back afterwards.
 
@@ -30,7 +33,6 @@ indexes of the reference backend.
 from __future__ import annotations
 
 import sqlite3
-from itertools import combinations
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.engine.sql import LoweredPlan, lower_plan
@@ -59,8 +61,8 @@ class _ViolationCheck:
     encoded.  ``projected``: the allowed head columns the caller tests
     against when the filter is not pushed (above :data:`_ALLOWED_CAP`),
     else ``None``.  ``base_violates``: whether ``Q(D)`` alone escapes,
-    decided on first use.  ``statements``: the delta statements per set
-    of touched relations.
+    decided on first use.  ``statements``: the delta statements (one per
+    step over a touched relation) per set of touched relations.
     """
 
     __slots__ = ("plan", "allowed", "never", "extra", "params",
@@ -94,6 +96,8 @@ class SQLiteStorage(StorageBackend):
         self._sql_indexes: set[tuple[str, tuple[int, ...]]] = set()
         self._table_of: dict[str, str] = {}
         self._delta_table_of: dict[str, str] = {}
+        #: per table, the rowid of its last base row (Δ-rows follow).
+        self._base_rowid: dict[str, int] = {}
         self._connection = sqlite3.connect(
             ":memory:", check_same_thread=False)
         self._load(instance)
@@ -117,16 +121,16 @@ class SQLiteStorage(StorageBackend):
             self._table_of[name] = table
             width = max(instance.schema.relation(name).arity, 1)
             columns = ", ".join(f"c{j} INTEGER" for j in range(width))
-            cursor.execute(f"CREATE TABLE {table} ({columns})")
+            cursor.execute(f"CREATE TABLE {table} "
+                           f"(vid INTEGER NOT NULL DEFAULT -1, {columns})")
             self._delta_table_of[table] = f"d{i}"
             cursor.execute(f"CREATE TABLE d{i} (vid INTEGER, {columns})")
+            cursor.execute(f"CREATE INDEX ix_d{i}_vid ON d{i} (vid)")
             rows = instance.relation(name)
-            if not rows:
-                continue
-            placeholders = ", ".join("?" * width)
-            cursor.executemany(
-                f"INSERT INTO {table} VALUES ({placeholders})",
-                [self._encode_row(row) for row in rows])
+            self._base_rowid[table] = len(rows)
+            if rows:
+                cursor.executemany(_insert_sql(table, width),
+                                   [self._encode_row(row) for row in rows])
         self._connection.commit()
 
     def _encode_row(self, row: tuple) -> tuple[int, ...]:
@@ -207,9 +211,8 @@ class SQLiteStorage(StorageBackend):
             coded = [self._encode_row(tuple(row)) for row in rows]
             if not coded:
                 continue
-            placeholders = ", ".join("?" * len(coded[0]))
             self._connection.executemany(
-                f"INSERT INTO {table} VALUES ({placeholders})", coded)
+                _insert_sql(table, len(coded[0])), coded)
 
     # -- StorageBackend API --------------------------------------------
 
@@ -266,10 +269,10 @@ class SQLiteStorage(StorageBackend):
                 else:
                     violating.update(row[0] for row in cursor
                                      if row[1:] not in check.projected)
+                if len(violating) == len(deltas):
+                    break
         finally:
-            for table in touched.values():
-                self._connection.execute(f"DELETE FROM {table}")
-            self._connection.commit()
+            self._clear_block(touched)
         return violating
 
     def _violation_check(self, plan: "CompiledPlan", lowered: LoweredPlan,
@@ -311,7 +314,8 @@ class SQLiteStorage(StorageBackend):
 
     def _load_block(self, deltas: Sequence[DeltaRows]) -> dict[str, str]:
         """Insert every candidate's Δ-rows, tagged with its index, into
-        the delta tables; return the loaded tables by relation."""
+        the relation's table and its delta table; return the touched
+        tables by relation."""
         tagged: dict[str, list[tuple[int, ...]]] = {}
         for vid, delta in enumerate(deltas):
             for name, rows in delta.items():
@@ -321,31 +325,46 @@ class SQLiteStorage(StorageBackend):
                         for row in rows)
         touched: dict[str, str] = {}
         for name, rows in tagged.items():
-            table = self._delta_table_of[self._table_of[name]]
+            table = self._table_of[name]
             placeholders = ", ".join("?" * len(rows[0]))
-            self._connection.executemany(
-                f"INSERT INTO {table} VALUES ({placeholders})", rows)
+            for target in (table, self._delta_table_of[table]):
+                self._connection.executemany(
+                    f"INSERT INTO {target} VALUES ({placeholders})", rows)
             touched[name] = table
         return touched
+
+    def _clear_block(self, touched: dict[str, str]) -> None:
+        for table in touched.values():
+            self._connection.execute(f"DELETE FROM {table} WHERE rowid > ?",
+                                     (self._base_rowid[table],))
+            self._connection.execute(
+                f"DELETE FROM {self._delta_table_of[table]}")
+        self._connection.commit()
 
     def _delta_statements(self, check: _ViolationCheck,
                           lowered: LoweredPlan,
                           touched: dict[str, str]) -> list[str]:
-        """One statement per non-empty set of steps over touched
-        relations (the semi-naive partition, expanded)."""
+        """The semi-naive delta plan of every step over a touched
+        relation, in step order."""
         key = frozenset(touched)
         statements = check.statements.get(key)
         if statements is None:
             steps = [i for i, step in enumerate(check.plan.steps)
                      if step.relation in key]
             statements = [
-                lowered.sql_delta(chosen, self._delta_table_of,
-                                  check.extra,
-                                  columns=check.projected is not None)
-                for size in range(1, len(steps) + 1)
-                for chosen in combinations(steps, size)]
+                lowered.sql_delta(
+                    step, steps, self._delta_table_of[lowered.tables[step]],
+                    check.extra, columns=check.projected is not None)
+                for step in steps]
             check.statements[key] = statements
         return statements
+
+
+def _insert_sql(table: str, width: int) -> str:
+    """Insert base rows (``vid`` defaults to ``-1``)."""
+    columns = ", ".join(f"c{j}" for j in range(width))
+    return (f"INSERT INTO {table} ({columns}) "
+            f"VALUES ({', '.join('?' * width)})")
 
 
 def _not_in_filter(select_cols: tuple[str, ...],

@@ -209,3 +209,31 @@ def test_empty_block_is_empty(backend):
     db = Instance(R_SCHEMA, {"S": {(9,)}})
     assert db.storage(backend).plan_violations(
         compile_plan(query), [], None) == set()
+
+
+
+def _sqlite_probes(db, plan, deltas) -> tuple[set[int], int]:
+    """The block's verdicts and how many delta statements ran."""
+    storage = db.storage("sqlite")
+    storage.plan_violations(plan, deltas[:1], None)  # prepare the check
+    probes: list[str] = []
+    storage._connection.set_trace_callback(
+        lambda sql: probes.append(sql) if "EXISTS" in sql else None)
+    try:
+        return storage.plan_violations(plan, deltas, None), len(probes)
+    finally:
+        storage._connection.set_trace_callback(None)
+
+
+def test_sqlite_runs_one_statement_per_delta_step():
+    """A 6-step self-join over the touched relation costs 6 delta
+    statements per block (not one per subset of steps), and a block
+    whose candidates all violate stops at the first."""
+    chain = [Var(f"v{i}") for i in range(7)]
+    plan = compile_plan(ConjunctiveQuery(
+        [], [RelAtom("R", [chain[i], chain[i + 1]]) for i in range(6)]))
+    db = Instance(R_SCHEMA, {"R": {(5, 6)}})
+    harmless = [{"R": [(1, 2)]}, {"R": [(2, 3)]}]
+    assert _sqlite_probes(db, plan, harmless) == (set(), 6)
+    loops = [{"R": [(i, i)]} for i in range(4)]
+    assert _sqlite_probes(db, plan, loops) == ({0, 1, 2, 3}, 1)

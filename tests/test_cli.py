@@ -108,7 +108,6 @@ class TestErrors:
         assert len(lines) == 1
         assert lines[0].startswith("error: ") and message in lines[0]
 
-
     @pytest.mark.parametrize("command", ["decide", "lint"])
     @pytest.mark.parametrize("mutate, message", [
         (lambda payload: payload.pop("query"),
@@ -139,6 +138,21 @@ class TestErrors:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error: ") and message in lines[0]
+
+    def test_lint_needs_no_data_blocks(self, bundle_path, capsys):
+        # lint analyzes a bundle without its instances; decide cannot.
+        import json
+
+        path = bundle_path([("e0", "c1")])
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+        del payload["database"], payload["master"]
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+        assert main(["lint", path]) in (0, 1)
+        assert "error:" not in capsys.readouterr().err
+        assert main(["decide", path]) == 2
+        assert "missing required key 'database'" in capsys.readouterr().err
 
 
 class TestAuditCommand:
